@@ -25,6 +25,7 @@
 #include "timeseries/narnet.hpp"
 #include "timeseries/simulate.hpp"
 #include "topology/fat_tree.hpp"
+#include "topology/liveness.hpp"
 #include "workload/deployment.hpp"
 #include "workload/trace_generator.hpp"
 
@@ -372,6 +373,71 @@ void BM_CostKernelPrunedSweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostKernelPrunedSweep)->Arg(0)->Arg(1);
+
+/// One flow per rack of a k=16 Fat-Tree, each to the rack half the fabric
+/// away, so every ToR-rooted tree gets queried.
+std::vector<net::Flow> one_flow_per_rack(const topo::Topology& t) {
+  std::vector<net::Flow> flows;
+  for (topo::RackId r = 0; r < t.rack_count(); ++r) {
+    net::Flow flow;
+    flow.id = r;
+    flow.src_host = t.rack(r).hosts[0];
+    flow.dst_host = t.rack((r + t.rack_count() / 2) % t.rack_count()).hosts[0];
+    flows.push_back(flow);
+  }
+  return flows;
+}
+
+topo::Topology k16_fat_tree() {
+  topo::FatTreeOptions options;
+  options.pods = 16;
+  return topo::build_fat_tree(options);
+}
+
+/// A warm k=16 router takes one link flap (agg—core, down then up on
+/// alternate iterations): refresh_liveness repairs every cached ToR tree,
+/// then every ToR is queried again.
+void BM_RouterRefreshLiveness(benchmark::State& state) {
+  const topo::Topology t = k16_fat_tree();
+  topo::LivenessMask mask(t);
+  net::Router router(t);
+  router.apply_liveness(&mask);
+  auto flows = one_flow_per_rack(t);
+  router.route_all(flows);
+  topo::LinkId flapped = 0;
+  for (const topo::Link& link : t.links()) {
+    if (t.node(link.a).kind == topo::NodeKind::kAggSwitch &&
+        t.node(link.b).kind == topo::NodeKind::kCoreSwitch) {
+      flapped = link.id;
+      break;
+    }
+  }
+  for (auto _ : state) {
+    mask.set_link(flapped, !mask.link_up(flapped));
+    router.refresh_liveness();
+    benchmark::DoNotOptimize(router.route_all(flows));
+  }
+  state.counters["repairs"] = benchmark::Counter(
+      static_cast<double>(router.cache_stats().tree_repairs), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_RouterRefreshLiveness);
+
+/// FLOWREROUTE-shaped queries on a warm k=16 router: each iteration routes
+/// one flow per rack around one blocked aggregation switch, cycling through
+/// more switches than the per-flow path cache holds, so every query walks a
+/// cached blocked tree.
+void BM_RouterRouteBlocked(benchmark::State& state) {
+  const topo::Topology t = k16_fat_tree();
+  const net::Router router(t);
+  auto flows = one_flow_per_rack(t);
+  const auto aggs = t.nodes_of_kind(topo::NodeKind::kAggSwitch);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const topo::NodeId blocked[] = {aggs[next++ % 8]};
+    for (net::Flow& flow : flows) benchmark::DoNotOptimize(router.route(flow, blocked));
+  }
+}
+BENCHMARK(BM_RouterRouteBlocked);
 
 void BM_FatTreeBuild(benchmark::State& state) {
   topo::FatTreeOptions options;

@@ -23,6 +23,30 @@ void Graph::add_edge(Vertex u, Vertex v, double weight) {
   total_weight_ += weight;
 }
 
+void Graph::remove_edge(Vertex u, Vertex v) {
+  SHERIFF_REQUIRE(u < adjacency_.size() && v < adjacency_.size(), "edge endpoint out of range");
+  auto& from_u = adjacency_[u];
+  const auto it =
+      std::find_if(from_u.begin(), from_u.end(), [v](const Edge& e) { return e.to == v; });
+  SHERIFF_REQUIRE(it != from_u.end(), "no such edge to remove");
+  const double weight = it->weight;
+  *it = from_u.back();
+  from_u.pop_back();
+  // The mirror entry with the same weight (parallel edges may differ).
+  auto& from_v = adjacency_[v];
+  const auto mirror = std::find_if(from_v.begin(), from_v.end(), [u, weight](const Edge& e) {
+    return e.to == u && e.weight == weight;
+  });
+  *mirror = from_v.back();
+  from_v.pop_back();
+  --edge_count_;
+  total_weight_ -= weight;
+  if (edge_count_ == 0) {
+    total_weight_ = 0.0;
+    weights_uniform_ = true;
+  }
+}
+
 Vertex Graph::add_vertex() {
   adjacency_.emplace_back();
   return static_cast<Vertex>(adjacency_.size() - 1);

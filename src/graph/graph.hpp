@@ -33,6 +33,12 @@ class Graph {
   /// Adds an undirected edge u—v with the given non-negative weight.
   void add_edge(Vertex u, Vertex v, double weight);
 
+  /// Removes one u—v edge (which must exist). Adjacency order is not
+  /// preserved: the last edge of each endpoint's list takes the removed
+  /// one's slot. Removal never makes a uniform graph non-uniform; a
+  /// non-uniform graph stays flagged non-uniform until it is emptied.
+  void remove_edge(Vertex u, Vertex v);
+
   /// Appends a new isolated vertex, returning its id.
   Vertex add_vertex();
 

@@ -1,6 +1,7 @@
 #include "net/routing.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/require.hpp"
 #include "graph/dijkstra.hpp"
@@ -24,6 +25,9 @@ std::uint32_t mix(std::uint32_t x) noexcept {
 /// for every host of the biggest bench fabrics plus reroute variants,
 /// small enough to bound memory on degenerate query streams.
 constexpr std::size_t kMaxCachedTrees = 4096;
+/// Dropped trees kept for reuse by later cache misses: a BFS into a used
+/// tree skips the per-vertex allocations, about 3x cheaper on k=16.
+constexpr std::size_t kMaxSpareTrees = 16;
 /// Flow ids above this skip the path cache (keeps the id-indexed table
 /// dense; engine flow tables are far below it).
 constexpr std::size_t kMaxPathCacheFlows = 1u << 20;
@@ -86,17 +90,40 @@ bool Flow::transits(topo::NodeId node) const noexcept {
 }
 
 Router::Router(const topo::Topology& topo)
-    : topo_(&topo), hop_graph_(topo.wired_graph(topo::EdgeWeight::kHops)) {}
+    : topo_(&topo),
+      hop_graph_(topo.wired_graph(topo::EdgeWeight::kHops)),
+      link_in_graph_(topo.link_count(), true) {}
 
 void Router::apply_liveness(const topo::LivenessMask* liveness) {
   liveness_ = liveness;
   rebuild();
 }
 
-bool Router::refresh_liveness() {
-  if (liveness_ == nullptr || liveness_->version() == liveness_version_) return false;
-  rebuild();
-  return true;
+Router::LivenessDelta Router::refresh_liveness() {
+  if (liveness_ == nullptr || liveness_->version() == liveness_version_) return {};
+  liveness_version_ = liveness_->version();
+  // Diff the graph's links against the mask and patch the hop graph in
+  // place; the edge lists drive the tree repair below.
+  removed_links_.clear();
+  std::vector<graph::VertexPair> removed;
+  std::vector<graph::VertexPair> added;
+  for (topo::LinkId l = 0; l < topo_->link_count(); ++l) {
+    const bool usable = liveness_->link_usable(*topo_, l);
+    if (usable == link_in_graph_[l]) continue;
+    link_in_graph_[l] = usable;
+    const topo::Link& link = topo_->link(l);
+    if (usable) {
+      hop_graph_.add_edge(link.a, link.b, 1.0);
+      added.emplace_back(link.a, link.b);
+    } else {
+      hop_graph_.remove_edge(link.a, link.b);
+      removed.emplace_back(link.a, link.b);
+      removed_links_.push_back(l);
+    }
+  }
+  relabel_components();
+  repair_caches(removed, added);
+  return {true, removed_links_};
 }
 
 void Router::set_cache_enabled(bool enabled) {
@@ -110,18 +137,70 @@ void Router::clear_caches() const {
   tree_cache_.clear();
   tree_cache_entries_ = 0;
   path_cache_.clear();
+  spare_trees_.clear();
+}
+
+void Router::repair_caches(std::span<const graph::VertexPair> removed,
+                           std::span<const graph::VertexPair> added) {
+  std::scoped_lock lock(cache_mutex_);
+  for (FlowPathSlot& slot : path_cache_) {
+    slot.plain.src = topo::kInvalidNode;
+    for (PathEntry& entry : slot.blocked) entry.src = topo::kInvalidNode;
+  }
+  // Trees nobody asked for since the last refresh are dropped rather than
+  // repaired: blocked reroute trees are mostly one-shot, and keeping them
+  // all would let them pile up across fault rounds.
+  const std::vector<bool> no_blocks;
+  std::vector<bool> blocked_mask;
+  for (auto it = tree_cache_.begin(); it != tree_cache_.end();) {
+    const topo::NodeId root = it->first;
+    const bool root_up = liveness_->node_up(root);
+    auto& slots = it->second;
+    std::size_t kept = 0;
+    for (TreeSlot& slot : slots) {
+      if (!slot.queried || !root_up) {
+        ++cache_stats_.tree_drops;
+        --tree_cache_entries_;
+        if (spare_trees_.size() < kMaxSpareTrees) spare_trees_.push_back(std::move(slot.tree));
+        continue;
+      }
+      if (!slot.blocked.empty()) {
+        blocked_mask.assign(topo_->node_count(), false);
+        for (topo::NodeId b : slot.blocked) blocked_mask[b] = true;
+      }
+      graph::repair_tree(hop_graph_, root, slot.blocked.empty() ? no_blocks : blocked_mask,
+                         removed, added, *slot.tree, repair_scratch_);
+      ++cache_stats_.tree_repairs;
+      slot.queried = false;
+      if (&slots[kept] != &slot) slots[kept] = std::move(slot);
+      ++kept;
+    }
+    slots.resize(kept);
+    it = slots.empty() ? tree_cache_.erase(it) : std::next(it);
+  }
 }
 
 void Router::rebuild() {
   clear_caches();
+  removed_links_.clear();
+  liveness_version_ = liveness_ != nullptr ? liveness_->version() : 0;
   if (liveness_ == nullptr || liveness_->all_up()) {
     hop_graph_ = topo_->wired_graph(topo::EdgeWeight::kHops);
+    link_in_graph_.assign(topo_->link_count(), true);
+  } else {
+    hop_graph_ = topo_->wired_graph(topo::EdgeWeight::kHops, *liveness_);
+    for (topo::LinkId l = 0; l < topo_->link_count(); ++l) {
+      link_in_graph_[l] = liveness_->link_usable(*topo_, l);
+    }
+  }
+  relabel_components();
+}
+
+void Router::relabel_components() {
+  if (liveness_ == nullptr || liveness_->all_up()) {
     component_.clear();
-    liveness_version_ = liveness_ != nullptr ? liveness_->version() : 0;
     return;
   }
-  hop_graph_ = topo_->wired_graph(topo::EdgeWeight::kHops, *liveness_);
-  liveness_version_ = liveness_->version();
   // Label live components by BFS so reachable() is an O(1) compare.
   component_.assign(topo_->node_count(), 0);
   std::uint32_t next_label = 0;
@@ -158,18 +237,24 @@ const graph::ShortestPathTree& Router::tree_for(topo::NodeId src,
                                                 std::span<const topo::NodeId> blocked) const {
   std::vector<topo::NodeId> key(blocked.begin(), blocked.end());
   std::sort(key.begin(), key.end());
+  std::unique_ptr<graph::ShortestPathTree> tree;
   {
     std::scoped_lock lock(cache_mutex_);
     const auto it = tree_cache_.find(src);
     if (it != tree_cache_.end()) {
-      for (const TreeSlot& slot : it->second) {
+      for (TreeSlot& slot : it->second) {
         if (slot.blocked == key) {
           ++cache_stats_.tree_hits;
+          slot.queried = true;
           return *slot.tree;
         }
       }
     }
     ++cache_stats_.tree_misses;
+    if (!spare_trees_.empty()) {
+      tree = std::move(spare_trees_.back());
+      spare_trees_.pop_back();
+    }
   }
 
   // Compute outside the lock (two threads may race on the same key; the
@@ -179,7 +264,7 @@ const graph::ShortestPathTree& Router::tree_for(topo::NodeId src,
     blocked_mask.assign(topo_->node_count(), false);
     for (topo::NodeId b : blocked) blocked_mask[b] = true;
   }
-  auto tree = std::make_unique<graph::ShortestPathTree>();
+  if (tree == nullptr) tree = std::make_unique<graph::ShortestPathTree>();
   graph::dijkstra_into(hop_graph_, src, blocked_mask, *tree);
 
   std::scoped_lock lock(cache_mutex_);
@@ -189,7 +274,7 @@ const graph::ShortestPathTree& Router::tree_for(topo::NodeId src,
     tree_cache_entries_ = 0;
   }
   auto& slots = tree_cache_[src];
-  slots.push_back(TreeSlot{std::move(key), std::move(tree)});
+  slots.push_back(TreeSlot{std::move(key), std::move(tree), true});
   ++tree_cache_entries_;
   return *slots.back().tree;
 }
@@ -278,6 +363,8 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
       entry = &slot.plain;
     } else {
       // Small FIFO per flow: reroutes probe at most a few hot switches.
+      // Entries a liveness refresh invalidated are older than every live
+      // one, so they are evicted first.
       if (slot.blocked.size() >= kMaxBlockedEntriesPerFlow) {
         slot.blocked.erase(slot.blocked.begin());
       }
@@ -312,6 +399,8 @@ void Router::publish_metrics(obs::MetricRegistry& registry) const {
   registry.gauge("router.path_hits").set(static_cast<double>(cache_stats_.path_hits));
   registry.gauge("router.path_misses").set(static_cast<double>(cache_stats_.path_misses));
   registry.gauge("router.evictions").set(static_cast<double>(cache_stats_.evictions));
+  registry.gauge("router.tree_repairs").set(static_cast<double>(cache_stats_.tree_repairs));
+  registry.gauge("router.tree_drops").set(static_cast<double>(cache_stats_.tree_drops));
 }
 
 }  // namespace sheriff::net

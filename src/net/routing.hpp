@@ -8,7 +8,8 @@
 // dropped from the hop graph and a per-node component labelling is
 // recomputed (only when the mask's version changes — fault events are
 // rare, routing queries are not), giving O(1) reachability checks while
-// the fabric is degraded.
+// the fabric is degraded. A refresh diffs a per-link "usable" snapshot
+// against the mask and patches the hop graph in place.
 //
 // Caching: routing queries repeat heavily — route_all shares sources
 // across flows, FLOWREROUTE blocks the same hot switch for many flows, and
@@ -18,10 +19,14 @@
 // id, its endpoints, AND the sorted blocked set (the ECMP walk is a pure
 // function of those on a fixed live fabric) — blocked reroute probes are
 // the queries that actually repeat round over round, and failed probes
-// (no path under the blocks) are cached too. Both caches are dropped
-// whenever the liveness version moves, so every entry is implicitly keyed
-// on the liveness epoch. Disable via set_cache_enabled to get the naive
-// one-Dijkstra-per-query behavior (the bench baseline).
+// (no path under the blocks) are cached too. A liveness refresh repairs
+// every tree queried since the previous refresh in place
+// (graph::repair_tree, bit-identical to a fresh build), drops the others
+// and those whose root died (recycling their storage for later misses),
+// and invalidates the resolved paths in place. Only cache overflow,
+// set_cache_enabled and apply_liveness clear both caches wholesale.
+// Disable via set_cache_enabled to get the naive one-Dijkstra-per-query
+// behavior (the bench baseline).
 
 #include <cstdint>
 #include <memory>
@@ -46,7 +51,9 @@ struct RouterCacheStats {
   std::size_t tree_misses = 0;
   std::size_t path_hits = 0;
   std::size_t path_misses = 0;
-  std::size_t evictions = 0;  ///< wholesale cache clears (liveness or overflow)
+  std::size_t evictions = 0;  ///< wholesale clears (overflow, set_cache_enabled, apply_liveness)
+  std::size_t tree_repairs = 0;  ///< trees repaired across a liveness refresh
+  std::size_t tree_drops = 0;    ///< trees dropped at a refresh (not queried since, or root died)
 };
 
 class Router {
@@ -58,10 +65,18 @@ class Router {
   /// outlive the router. Triggers a hop-graph + reachability recompute.
   void apply_liveness(const topo::LivenessMask* liveness);
 
-  /// Re-checks the attached mask's version and recomputes the hop graph
-  /// and component labels if fault events happened since the last call.
-  /// Returns true when a recompute ran.
-  bool refresh_liveness();
+  /// What one refresh_liveness() call changed.
+  struct LivenessDelta {
+    bool refreshed = false;  ///< the mask moved since the last refresh
+    /// Links that became unusable, ascending; valid until the next refresh.
+    std::span<const topo::LinkId> removed;
+    explicit operator bool() const noexcept { return refreshed; }
+  };
+
+  /// Re-checks the attached mask's version; if fault events happened since
+  /// the last call, patches the hop graph, relabels components, and
+  /// repairs the tree cache (see the header comment).
+  LivenessDelta refresh_liveness();
 
   /// True when both nodes are up and connected through live links.
   [[nodiscard]] bool reachable(topo::NodeId a, topo::NodeId b) const;
@@ -87,11 +102,28 @@ class Router {
   /// Publishes the cumulative cache stats as `router.*` gauges.
   void publish_metrics(obs::MetricRegistry& registry) const;
 
+  /// Calls visit(source, sorted blocked set, tree) for every cached tree —
+  /// lets the repair differential compare each one with a fresh build.
+  template <class Visit>
+  void for_each_cached_tree(Visit&& visit) const {
+    std::scoped_lock lock(cache_mutex_);
+    for (const auto& [source, slots] : tree_cache_) {
+      for (const TreeSlot& slot : slots) {
+        visit(source, std::span<const topo::NodeId>(slot.blocked), *slot.tree);
+      }
+    }
+  }
+
  private:
   void rebuild();
+  void relabel_components();
   void clear_caches() const;
+  /// Repairs the trees queried since the last refresh for the given edge
+  /// changes and drops the rest; invalidates every resolved path.
+  void repair_caches(std::span<const graph::VertexPair> removed,
+                     std::span<const graph::VertexPair> added);
   /// The shortest-path tree out of `src` under `blocked`, cached. The
-  /// reference stays valid until the next liveness change (values are
+  /// reference stays valid until the next liveness refresh (values are
   /// stable unique_ptrs, so concurrent readers survive rehashes).
   const graph::ShortestPathTree& tree_for(topo::NodeId src,
                                           std::span<const topo::NodeId> blocked) const;
@@ -100,12 +132,16 @@ class Router {
   const topo::LivenessMask* liveness_ = nullptr;
   std::uint64_t liveness_version_ = 0;
   graph::Graph hop_graph_;
+  std::vector<bool> link_in_graph_;       ///< per link: an edge of hop_graph_
+  std::vector<topo::LinkId> removed_links_;  ///< last refresh's removals
+  graph::TreeRepairScratch repair_scratch_;
   std::vector<std::uint32_t> component_;  ///< live-graph component label per node
 
   // --- caches (logically const; guarded for concurrent route() calls) ------
   struct TreeSlot {
     std::vector<topo::NodeId> blocked;  ///< sorted blocked set this tree was built under
     std::unique_ptr<graph::ShortestPathTree> tree;
+    bool queried = true;  ///< looked up since the last liveness refresh
   };
   struct PathEntry {
     topo::NodeId src = topo::kInvalidNode;
@@ -126,6 +162,9 @@ class Router {
   mutable std::unordered_map<topo::NodeId, std::vector<TreeSlot>> tree_cache_;
   mutable std::size_t tree_cache_entries_ = 0;
   mutable std::vector<FlowPathSlot> path_cache_;  ///< indexed by FlowId
+  /// Trees dropped at a refresh, kept (bounded) so later misses rebuild
+  /// into their allocations instead of allocating a fresh tree.
+  mutable std::vector<std::unique_ptr<graph::ShortestPathTree>> spare_trees_;
   mutable RouterCacheStats cache_stats_;
 };
 

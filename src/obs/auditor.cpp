@@ -9,6 +9,22 @@
 
 namespace sheriff::obs {
 
+namespace {
+
+constexpr topo::LinkId kNoLink = static_cast<topo::LinkId>(-1);
+
+/// The link joining a and b, or kNoLink when the hop is not a link (the
+/// auditor reports malformed paths instead of throwing on them).
+topo::LinkId link_or_none(const topo::Topology& topo, topo::NodeId a, topo::NodeId b) {
+  if (a >= topo.node_count() || b >= topo.node_count()) return kNoLink;
+  for (topo::LinkId id : topo.links_of(a)) {
+    if (topo.peer(id, a) == b) return id;
+  }
+  return kNoLink;
+}
+
+}  // namespace
+
 InvariantAuditor::InvariantAuditor(AuditOptions options) : options_(options) {}
 
 void InvariantAuditor::attach(EventTrace* trace, MetricRegistry* registry) {
@@ -33,6 +49,7 @@ void InvariantAuditor::audit_network(const RoundInputs& in) {
   SHERIFF_REQUIRE(in.deployment != nullptr && in.shares != nullptr,
                   "audit_network needs the deployment and the fair-share result");
   ++rounds_audited_;
+  check_route_liveness(in);
   check_flow_rates(in);
   if (in.solver != nullptr) check_solver_bookkeeping(in);
   if (options_.deep_fair_share) check_deep_fair_share(in);
@@ -54,10 +71,50 @@ void InvariantAuditor::audit_round(const RoundInputs& in) {
   audit_management(in);
 }
 
+// Check 9: every routed path is a contiguous walk src_host → dst_host over
+// links the mask marks usable. The fault step tears down only paths that
+// cross a link the refresh just removed, which is exact only while this
+// holds. Resolves each routed path's links once, for checks 1 + 2 too; a
+// path with a hop that is no link gets an empty range.
+void InvariantAuditor::check_route_liveness(const RoundInputs& in) {
+  const topo::Topology& topo = in.deployment->topology();
+  path_links_.clear();
+  path_links_start_.assign(in.flows.size() + 1, 0);
+  for (std::size_t f = 0; f < in.flows.size(); ++f) {
+    const net::Flow& flow = in.flows[f];
+    const std::size_t start = path_links_start_[f] = path_links_.size();
+    if (!flow.routed()) continue;
+    for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
+      const topo::LinkId l = link_or_none(topo, flow.path[i], flow.path[i + 1]);
+      if (l == kNoLink) {
+        report(9, static_cast<double>(f),
+               "flow " + std::to_string(f) + " path hop " + std::to_string(i) + " is not a link");
+        path_links_.resize(start);
+        break;
+      }
+      path_links_.push_back(l);
+    }
+    if (flow.path.front() != flow.src_host || flow.path.back() != flow.dst_host) {
+      report(9, static_cast<double>(f),
+             "flow " + std::to_string(f) + " path does not run from its source to its destination");
+    }
+    if (in.liveness == nullptr) continue;
+    for (std::size_t k = start; k < path_links_.size(); ++k) {
+      if (!in.liveness->link_usable(topo, path_links_[k])) {
+        report(9, static_cast<double>(f),
+               "flow " + std::to_string(f) + " path crosses unusable link " +
+                   std::to_string(path_links_[k]));
+        break;
+      }
+    }
+  }
+  path_links_start_[in.flows.size()] = path_links_.size();
+}
+
 // Checks 1 + 2: per-flow rate bounds and per-link conservation. One pass
-// resolves every routed flow's links, bounds its rate, and accumulates the
-// per-link load, which is then compared against capacity and against the
-// solver's reported link loads.
+// over every routed flow's links (resolved by check 9) bounds its rate and
+// accumulates the per-link load, which is then compared against capacity
+// and against the solver's reported link loads.
 void InvariantAuditor::check_flow_rates(const RoundInputs& in) {
   const topo::Topology& topo = in.deployment->topology();
   const double eps = options_.rate_epsilon;
@@ -86,8 +143,8 @@ void InvariantAuditor::check_flow_rates(const RoundInputs& in) {
       }
       continue;
     }
-    for (std::size_t i = 0; i + 1 < flow.path.size(); ++i) {
-      const topo::LinkId l = topo.link_between(flow.path[i], flow.path[i + 1]);
+    for (std::size_t k = path_links_start_[f]; k < path_links_start_[f + 1]; ++k) {
+      const topo::LinkId l = path_links_[k];
       const double cap = topo.link(l).capacity_gbps;
       if (rate > cap * (1.0 + 1e-9) + eps) {
         report(1, rate - cap, "flow " + std::to_string(f) + " rate exceeds capacity of link " +

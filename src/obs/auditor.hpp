@@ -35,6 +35,11 @@
 //                             move's destination, and no destination host
 //                             receives more incoming capacity than it can
 //                             hold outright
+//   9 route liveness        — every routed flow's path is a contiguous
+//                             walk from its source host to its destination
+//                             host over links the liveness mask marks
+//                             usable (the fault step's route teardown
+//                             relies on it)
 
 #include <cstdint>
 #include <span>
@@ -94,7 +99,7 @@ class InvariantAuditor {
     std::span<const AuditedMove> moves;              ///< this round's migrations
   };
 
-  /// Network-state checks (1, 2, 6, 7). The engine calls this right after
+  /// Network-state checks (9, 1, 2, 6, 7). The engine calls this right after
   /// the fair-share solve, while flows' paths and rate limits are exactly
   /// the ones the allocation saw — reroutes and QCN updates later in the
   /// round legitimately de-synchronize them. Counts the round as audited.
@@ -120,6 +125,7 @@ class InvariantAuditor {
  private:
   void report(int check_id, double magnitude, const std::string& message);
 
+  void check_route_liveness(const RoundInputs& in);    // 9 (runs first)
   void check_flow_rates(const RoundInputs& in);        // 1 + 2
   void check_placement(const RoundInputs& in);         // 3
   void check_moves(const RoundInputs& in);             // 4
@@ -138,6 +144,10 @@ class InvariantAuditor {
   net::FairShareSolver::Stats last_solver_stats_;
   bool have_solver_stats_ = false;
   std::vector<double> link_load_scratch_;  ///< per-link recomputed load
+  /// Links of every routed path, resolved once per audit by check 9:
+  /// flow f's are [path_links_start_[f], path_links_start_[f + 1]).
+  std::vector<topo::LinkId> path_links_;
+  std::vector<std::size_t> path_links_start_;
 };
 
 }  // namespace sheriff::obs

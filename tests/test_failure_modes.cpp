@@ -245,23 +245,28 @@ TEST(FailureModes, BrokerSurvivesRepeatedRequestsForSameVm) {
 }
 
 TEST(FailureModes, OversizedVmNeverFits) {
+  // Every VM fills a whole host, and there are fewer VMs than hosts: the
+  // fabric holds both occupied and empty hosts by construction.
   wl::DeploymentOptions options;
   options.seed = 56;
-  options.max_vm_capacity = 80;  // as large as a whole host
+  options.min_vm_capacity = 80;
+  options.max_vm_capacity = 80;
   options.host_capacity = 80;
   options.vms_per_host = 0.5;
+  options.dependency_degree = 0.0;  // capacity alone decides placement
   wl::Deployment d(test_topology(), options);
-  // Find a full-host VM; it can only move to completely empty hosts.
-  for (const auto& vm : d.vms()) {
-    if (vm.capacity != 80) continue;
-    for (const auto& node : test_topology().nodes()) {
-      if (node.kind != topo::NodeKind::kHost) continue;
-      const bool empty = d.vms_on_host(node.id).empty();
-      if (node.id != vm.host) {
-        EXPECT_EQ(d.can_place(vm.id, node.id), empty);
-      }
-    }
-    return;
+  ASSERT_FALSE(d.vms().empty());
+  const wl::VirtualMachine& vm = d.vms().front();
+  ASSERT_EQ(vm.capacity, 80);
+  // A full-host VM can only move to a completely empty host.
+  std::size_t empty_targets = 0;
+  std::size_t occupied_targets = 0;
+  for (const auto& node : test_topology().nodes()) {
+    if (node.kind != topo::NodeKind::kHost || node.id == vm.host) continue;
+    const bool empty = d.vms_on_host(node.id).empty();
+    (empty ? empty_targets : occupied_targets) += 1;
+    EXPECT_EQ(d.can_place(vm.id, node.id), empty) << "host " << node.id;
   }
-  GTEST_SKIP() << "no full-host VM drawn for this seed";
+  EXPECT_GT(empty_targets, 0u);
+  EXPECT_GT(occupied_targets, 0u);
 }

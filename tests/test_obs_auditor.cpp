@@ -407,6 +407,51 @@ TEST(AuditorDetects, ShardCommitDoubleMoveAndOverfedHost) {
   }
 }
 
+// Check 9: a routed path must be a contiguous walk from the flow's source
+// to its destination over usable links. Each corruption trips it on its
+// own, without the rate checks throwing on the malformed path.
+TEST(AuditorDetects, CorruptedRoutePath) {
+  const auto count_check9 = [](const obs::InvariantAuditor& auditor) {
+    std::size_t n = 0;
+    for (const std::string& m : auditor.messages()) {
+      if (m.find("[check 9]") != std::string::npos) ++n;
+    }
+    return n;
+  };
+  const auto hosts = fat_tree().nodes_of_kind(topo::NodeKind::kHost);
+
+  // Wrong endpoint: the walk ends at some other host.
+  {
+    AuditFixture fx(fat_tree());
+    fx.flows[0].dst_host = fx.flows[0].dst_host == hosts[0] ? hosts[1] : hosts[0];
+    obs::InvariantAuditor auditor;
+    auditor.audit_network(fx.inputs());
+    EXPECT_EQ(count_check9(auditor), 1u);
+  }
+  // A hop that is not a link: drop an interior node of the walk.
+  {
+    AuditFixture fx(fat_tree());
+    ASSERT_GE(fx.flows[1].path.size(), 4u);
+    fx.flows[1].path.erase(fx.flows[1].path.begin() + 2);
+    obs::InvariantAuditor auditor;
+    EXPECT_NO_THROW(auditor.audit_network(fx.inputs()));
+    EXPECT_EQ(count_check9(auditor), 1u);
+    EXPECT_NE(auditor.messages().front().find("is not a link"), std::string::npos);
+  }
+  // A link the mask marks down.
+  {
+    AuditFixture fx(fat_tree());
+    topo::LivenessMask mask(fat_tree());
+    mask.set_link(fat_tree().link_between(fx.flows[2].path[1], fx.flows[2].path[2]), false);
+    auto in = fx.inputs();
+    in.liveness = &mask;
+    obs::InvariantAuditor auditor;
+    auditor.audit_network(in);
+    EXPECT_GE(count_check9(auditor), 1u);
+    EXPECT_NE(auditor.messages().front().find("unusable link"), std::string::npos);
+  }
+}
+
 TEST(AuditorDetects, FailFastThrowsOnFirstViolation) {
   AuditFixture fx(fat_tree());
   fx.shares.flow_rate[0] = 1e6;
