@@ -117,14 +117,17 @@ ShimCollectResult ShimController::collect(const wl::Deployment& deployment,
     out.alerts.push_back({AlertSource::kOuterSwitch, rack_, sw, 1.0});
   }
 
+  return out;
+}
+
+void ShimController::record_alerts(const ShimCollectResult& collected) const {
   if (trace_ != nullptr) {
-    for (const Alert& alert : out.alerts) {
+    for (const Alert& alert : collected.alerts) {
       trace_->emit(rack_, obs::EventType::kAlertRaised, alert.node,
                    static_cast<std::uint32_t>(alert.source), alert.value);
     }
   }
-  pending_alerts_ += out.alerts.size();
-  return out;
+  pending_alerts_ += collected.alerts.size();
 }
 
 ShimSelection ShimController::select(const ShimCollectResult& collected,

@@ -82,8 +82,9 @@ class ShimController {
   /// The mask must outlive the controller.
   void set_liveness(const topo::LivenessMask* liveness) { liveness_ = liveness; }
 
-  /// Attaches the event trace (nullptr detaches). Emission is safe from
-  /// the parallel collect sweep: this shim only ever writes its own ring.
+  /// Attaches the event trace (nullptr detaches). The shim only ever
+  /// writes its own ring, and only from serial code, so the trace's
+  /// sequence numbers never depend on thread scheduling.
   /// The trace must outlive the controller.
   void set_trace(obs::EventTrace* trace) noexcept { trace_ = trace; }
 
@@ -119,6 +120,13 @@ class ShimController {
   [[nodiscard]] ShimCollectResult collect(const wl::Deployment& deployment,
                                           std::span<const wl::WorkloadProfile> predicted,
                                           const Observation& observation) const;
+
+  /// Emits `collected`'s alerts to the trace and counts them for
+  /// publish_metrics. The engine calls it serially, in shim order, after
+  /// the parallel collect sweep: collect() itself writes nothing, because
+  /// concurrent emits from different shims would take trace sequence
+  /// numbers in scheduling order.
+  void record_alerts(const ShimCollectResult& collected) const;
 
   /// Alg. 1's alert dispatch: builds the candidate sets F, runs PRIORITY
   /// (Alg. 2), reroutes around hot outer switches (FLOWREROUTE first), and
@@ -185,8 +193,9 @@ class ShimController {
   const topo::LivenessMask* liveness_ = nullptr;
   SheriffConfig config_;
   obs::EventTrace* trace_ = nullptr;
-  // Round tallies for publish_metrics. Mutable because collect()/select()
-  // are logically const; safe because at most one thread works on a shim.
+  // Round tallies for publish_metrics. Mutable because record_alerts()/
+  // select() are logically const; safe because at most one thread works on
+  // a shim.
   mutable std::size_t pending_alerts_ = 0;
   mutable std::size_t pending_reroutes_ = 0;
 };

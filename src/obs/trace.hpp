@@ -12,6 +12,9 @@
 // serial). The only shared state is the sequence counter, a relaxed
 // atomic — so concurrent emits from different shims never contend on a
 // lock, and a merged snapshot can still be ordered totally by `seq`.
+// Concurrent emits take `seq` in scheduling order, though, and `seq` is
+// checkpointed, so the engine emits only from serial code: parallel
+// sweeps return their events and the engine emits them in shim order.
 //
 // Rings are bounded: when a shim's ring is full the oldest record is
 // overwritten and `dropped()` counts it. Tracing therefore has a hard
