@@ -39,6 +39,44 @@ bool for_each_combination(std::size_t n, std::size_t p,
   }
 }
 
+bool reference_swap_scan(const KMedianInstance& instance, std::size_t min_swap,
+                         std::size_t max_swap, double min_relative_gain, KMedianSolution& sol) {
+  std::vector<std::size_t> outside;
+  outside.reserve(instance.facilities.size());
+  for (std::size_t f : instance.facilities) {
+    if (std::find(sol.medians.begin(), sol.medians.end(), f) == sol.medians.end()) {
+      outside.push_back(f);
+    }
+  }
+  max_swap = std::min(max_swap, instance.k);
+  bool improved = false;
+  for (std::size_t swap = min_swap; swap <= max_swap && !improved; ++swap) {
+    if (outside.size() < swap) continue;
+    for_each_combination(sol.medians.size(), swap, [&](const std::vector<std::size_t>& out_idx) {
+      return for_each_combination(outside.size(), swap,
+                                  [&](const std::vector<std::size_t>& in_idx) {
+        if (instance.max_evaluations != 0 && sol.evaluations >= instance.max_evaluations) {
+          sol.hit_evaluation_cap = true;
+          return false;  // budget spent: keep the current solution
+        }
+        std::vector<std::size_t> candidate = sol.medians;
+        for (std::size_t i = 0; i < swap; ++i) candidate[out_idx[i]] = outside[in_idx[i]];
+        const double cost = kmedian_cost(instance, candidate);
+        ++sol.evaluations;
+        if (cost < sol.cost * (1.0 - min_relative_gain)) {
+          sol.medians = std::move(candidate);
+          sol.cost = cost;
+          improved = true;
+          return false;  // stop scanning
+        }
+        return true;
+      });
+    });
+    if (sol.hit_evaluation_cap) break;
+  }
+  return improved;
+}
+
 }  // namespace detail
 
 using detail::for_each_combination;
@@ -59,51 +97,14 @@ KMedianSolution local_search_kmedian(const KMedianInstance& instance, std::size_
                                      double min_relative_gain) {
   validate(instance);
   SHERIFF_REQUIRE(p >= 1, "swap size p must be at least 1");
-  const auto& facilities = instance.facilities;
-
   KMedianSolution sol;
-  sol.medians.assign(facilities.begin(),
-                     facilities.begin() + static_cast<std::ptrdiff_t>(instance.k));
+  sol.medians.assign(instance.facilities.begin(),
+                     instance.facilities.begin() + static_cast<std::ptrdiff_t>(instance.k));
   sol.cost = kmedian_cost(instance, sol.medians);
   sol.evaluations = 1;
-  const std::size_t max_swap = std::min(p, instance.k);
-
-  bool improved = true;
-  while (improved && !sol.hit_evaluation_cap) {
-    improved = false;
-    // Try swap sizes 1..p; first improvement restarts the scan.
-    for (std::size_t swap = 1; swap <= max_swap && !improved; ++swap) {
-      std::vector<std::size_t> outside;
-      outside.reserve(facilities.size());
-      for (std::size_t f : facilities) {
-        if (std::find(sol.medians.begin(), sol.medians.end(), f) == sol.medians.end()) {
-          outside.push_back(f);
-        }
-      }
-      if (outside.size() < swap) continue;
-      for_each_combination(sol.medians.size(), swap, [&](const std::vector<std::size_t>& out_idx) {
-        return for_each_combination(outside.size(), swap,
-                                    [&](const std::vector<std::size_t>& in_idx) {
-          if (instance.max_evaluations != 0 &&
-              sol.evaluations >= instance.max_evaluations) {
-            sol.hit_evaluation_cap = true;
-            return false;  // budget spent: keep the current solution
-          }
-          std::vector<std::size_t> candidate = sol.medians;
-          for (std::size_t i = 0; i < swap; ++i) candidate[out_idx[i]] = outside[in_idx[i]];
-          const double cost = kmedian_cost(instance, candidate);
-          ++sol.evaluations;
-          if (cost < sol.cost * (1.0 - min_relative_gain)) {
-            sol.medians = std::move(candidate);
-            sol.cost = cost;
-            improved = true;
-            return false;  // stop scanning, restart outer loop
-          }
-          return true;
-        });
-      });
-      if (sol.hit_evaluation_cap) break;
-    }
+  // Try swap sizes 1..p; a first improvement restarts the scan.
+  while (!sol.hit_evaluation_cap &&
+         detail::reference_swap_scan(instance, 1, p, min_relative_gain, sol)) {
   }
   std::sort(sol.medians.begin(), sol.medians.end());
   return sol;

@@ -47,6 +47,20 @@ void validate(const KMedianInstance& instance);
 bool for_each_combination(std::size_t n, std::size_t p,
                           const std::function<bool(const std::vector<std::size_t>&)>& fn);
 
+/// One first-improvement pass of the reference Alg. 5 scan over swap sizes
+/// min_swap..max_swap (clamped to k), starting from `sol.medians` with
+/// connection cost `sol.cost`. Candidates run out-slot combination major,
+/// then outside-facility combinations, both lexicographic, and each is
+/// priced from scratch with kmedian_cost. The first candidate below
+/// sol.cost·(1 − min_relative_gain) replaces sol.medians (slot order kept)
+/// and sol.cost, and the call returns true. Every candidate advances
+/// sol.evaluations; KMedianInstance::max_evaluations stops the pass at
+/// exactly the candidate it names and sets sol.hit_evaluation_cap.
+/// local_search_kmedian repeats this pass from swap size 1; the tests use
+/// it from swap size 2 as the oracle of the fast convergence scan.
+bool reference_swap_scan(const KMedianInstance& instance, std::size_t min_swap,
+                         std::size_t max_swap, double min_relative_gain, KMedianSolution& sol);
+
 }  // namespace detail
 
 /// Alg. 5: local search with swaps of up to `p` facilities at a time,

@@ -18,11 +18,13 @@
 // with a fixed client accumulation order and shards merge in fixed order,
 // so the result is byte-identical for any pool size.
 //
-// Swap sizes p ≥ 2 fall back to the reference combinational scan seeded
-// from the fast p=1 local optimum: the 3 + 2/p analysis of Arya et al.
-// only needs that *no* swap of size ≤ p improves the final solution, so
-// running the p ≥ 2 scan as the convergence check (and resuming fast p=1
-// sweeps after any accepted multi-swap) preserves the approximation ratio.
+// Swap sizes p ≥ 2 only matter as a convergence check: the 3 + 2/p
+// analysis of Arya et al. needs that *no* swap of size ≤ p improves the
+// final solution. Once the fast p=1 sweeps stall, multi_swap_scan walks
+// every swap of size 2..p in the reference order, but prices only the
+// candidates a per-out-combination lower bound cannot rule out (DESIGN.md
+// §9); an accepted multi-swap resumes the p=1 sweeps. Accepted swaps,
+// costs and evaluation counts equal the reference scan's bit for bit.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,7 +51,7 @@ enum class SwapPolicy : std::uint8_t {
 };
 
 struct FastKMedianOptions {
-  std::size_t p = 1;                   ///< Alg. 5 swap size (≥2 uses the reference scan)
+  std::size_t p = 1;                   ///< Alg. 5 swap size (≥2 adds multi_swap_scan)
   double min_relative_gain = 1e-9;     ///< same improvement threshold as the reference
   SwapPolicy policy = SwapPolicy::kFirstImprovement;
   /// Worker pool for the parallel gain sweeps; nullptr = serial. Results
@@ -106,14 +108,25 @@ class KMedianState {
   double cost_ = 0.0;
 };
 
+/// The convergence check over swap sizes 2..min(options.p, k), from the
+/// state's median set: equivalent to
+/// detail::reference_swap_scan(instance, 2, options.p, ε, sol) on the same
+/// medians — same accepted candidate (applied to `state` via reset), same
+/// bitwise cost, same sol.evaluations and hit_evaluation_cap, including
+/// where KMedianInstance::max_evaluations stops it. Returns true when a
+/// multi-swap was accepted. Requires finite, non-negative distances.
+bool multi_swap_scan(const KMedianInstance& instance, KMedianState& state, KMedianSolution& sol,
+                     const FastKMedianOptions& options);
+
 /// Delta-evaluated local search. For p = 1 with SwapPolicy::kFirstImprovement
 /// the accepted-swap trajectory — and therefore the final median set — is
 /// identical to local_search_kmedian(instance, 1); only the work to find
 /// each swap shrinks. Instances with an unreachable client/facility pair
 /// (possible on a partitioned fabric) fall back to the reference solver,
 /// whose ∞-cost comparisons handle them. Honors
-/// KMedianInstance::max_evaluations at sweep granularity: the fast path may
-/// overshoot the cap by at most one sweep (k·(|F|−k) candidates).
+/// KMedianInstance::max_evaluations at sweep granularity in the p=1 phase:
+/// it may overshoot the cap by at most one sweep (k·(|F|−k) candidates).
+/// The multi-swap phase stops exactly at the cap.
 KMedianSolution fast_kmedian(const KMedianInstance& instance,
                              const FastKMedianOptions& options = {});
 

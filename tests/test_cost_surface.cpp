@@ -27,6 +27,7 @@
 #include "migration/cost_model.hpp"
 #include "net/fair_share.hpp"
 #include "net/routing.hpp"
+#include "obs/hub.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
@@ -39,6 +40,7 @@ namespace mig = sheriff::mig;
 namespace net = sheriff::net;
 namespace fault = sheriff::fault;
 namespace sc = sheriff::common;
+namespace obs = sheriff::obs;
 
 namespace {
 
@@ -288,6 +290,9 @@ struct DecisionLeg {
 /// checkpoint section and the evaluated/pruned counter *split* legally
 /// differs between prune-on and prune-off runs — the parity claim is
 /// about simulation state, which the counters are not part of.
+/// SHERIFF_FORCE_AUDIT turns observation on regardless, so the cost.*
+/// counters, which differ by design between legs, are zeroed before the
+/// checkpoint is taken; every other byte must still match.
 std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
     const topo::Topology& topology, const fault::FaultPlan* plan, const DecisionLeg& leg,
     std::size_t rounds) {
@@ -308,6 +313,11 @@ std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
     actions += metrics.back().migrations + metrics.back().reroutes;
   }
   EXPECT_GT(actions, 0u);  // the comparison must not be vacuous
+  if (obs::ObservationHub* hub = engine.observation_hub()) {
+    for (const char* name : {"cost.evaluated", "cost.pruned", "cost.surface_builds"}) {
+      hub->registry().counter(name).reset();
+    }
+  }
   return {metrics_csv(metrics), core::Checkpoint::serialize(engine)};
 }
 

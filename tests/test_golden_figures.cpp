@@ -1,5 +1,6 @@
 // Golden-figure regression tests: pin small-instance outputs of the
-// figure benches byte-for-byte. The figure pipelines (trace generation,
+// figure benches, and the metrics CSV of a small k-median engine run,
+// byte-for-byte. The figure pipelines (trace generation,
 // ARIMA fitting, the balance loop, the Sheriff-vs-centralized sweep) are
 // fully deterministic given their seeds, so any diff here is a behavior
 // change that would silently reshape the paper figures.
@@ -31,12 +32,15 @@
 #include "common/math_util.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "core/engine.hpp"
+#include "core/metrics.hpp"
 #include "timeseries/arima.hpp"
 #include "topology/fat_tree.hpp"
 #include "workload/trace_generator.hpp"
 
 namespace bench = sheriff::bench;
 namespace common = sheriff::common;
+namespace core = sheriff::core;
 namespace topo = sheriff::topo;
 namespace ts = sheriff::ts;
 namespace wl = sheriff::wl;
@@ -175,4 +179,38 @@ TEST(GoldenFigures, Fig11FatTreeCostSmallInstance) {
   os << "\nworst sheriff/optimal cost ratio: " << common::format_fixed(worst_ratio, 3)
      << "\n";
   expect_matches_golden("fig11_fattree_cost_small.txt", os.str());
+}
+
+// 20 rounds of a kKMedian engine on an 8-pod Fat-Tree (32 facility racks,
+// k = 4, p = 2): every round's metrics CSV row, search_space included, so
+// the planner's medians and its candidate-evaluation accounting are both
+// pinned. Any change to the k-median scan that moves a chosen median or
+// the evaluation count shows up here.
+TEST(GoldenFigures, KMedianEngineSmallInstanceMetricsCsv) {
+  topo::FatTreeOptions topt;
+  topt.pods = 8;
+  topt.hosts_per_rack = 2;
+  topt.tor_agg_gbps = 1.0;
+  const auto topology = topo::build_fat_tree(topt);
+
+  wl::DeploymentOptions deployment;
+  deployment.seed = 2015;
+  deployment.vms_per_host = 3.0;
+  deployment.max_vm_capacity = 20;
+  deployment.placement = wl::PlacementPolicy::kSkewed;
+  deployment.hot_vm_fraction = 0.3;
+
+  core::EngineConfig config;
+  config.mode = core::ManagerMode::kKMedian;
+  config.sheriff.cost.computing_cost = 100.0;
+  core::DistributedEngine engine(topology, deployment, config);
+  const auto rounds = engine.run(20);
+
+  std::size_t search_space = 0;
+  for (const auto& m : rounds) search_space += m.search_space;
+  ASSERT_GT(search_space, 0u);  // the planner must actually run
+
+  std::ostringstream os;
+  core::write_metrics_csv(os, rounds);
+  expect_matches_golden("kmedian_fattree_k8_metrics.txt", os.str());
 }

@@ -1,5 +1,7 @@
 // Fast swap-based k-median tests: differential equality against the
 // reference Alg. 5 scan (first-improvement trajectory parity), the
+// bound-pruned multi-swap convergence scan against the reference
+// combinational scan candidate for candidate (caps included), the
 // 3 + 2/p bound against the exhaustive optimum, byte-identical parallel
 // sweeps across pool sizes (pristine and faulted planners), the
 // max_evaluations safety cap, planner refresh semantics, and a
@@ -7,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <deque>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -64,6 +70,146 @@ const topo::Topology& small_fat_tree() {
   return t;
 }
 
+struct ScanCase {
+  std::string name;
+  sg::KMedianInstance instance;  ///< its metric outlives the case
+};
+
+/// `clients` distinct random points of the metric as clients, every point a
+/// facility — the shape of a k-median plan (a few source racks, all racks
+/// as candidate destinations).
+sg::KMedianInstance engine_shaped_instance(const sg::DistanceMatrix& m, std::size_t clients,
+                                           std::size_t k, sc::Pcg32& rng) {
+  sg::KMedianInstance instance;
+  instance.distance = &m;
+  instance.k = k;
+  for (std::size_t i = 0; i < m.size(); ++i) instance.facilities.push_back(i);
+  std::vector<std::size_t> points = instance.facilities;
+  rng.shuffle(points);
+  instance.clients.assign(points.begin(), points.begin() + static_cast<std::ptrdiff_t>(clients));
+  return instance;
+}
+
+const sg::DistanceMatrix& fat_tree_rack_metric(int pods) {
+  static std::deque<std::pair<int, sg::DistanceMatrix>> cache;
+  for (const auto& [cached_pods, m] : cache) {
+    if (cached_pods == pods) return m;
+  }
+  topo::FatTreeOptions options;
+  options.pods = pods;
+  options.hosts_per_rack = 1;
+  const topo::Topology t = topo::build_fat_tree(options);
+  return cache.emplace_back(pods, core::KMedianPlanner(t).rack_distances()).second;
+}
+
+/// Engine-shaped instances for the convergence-scan differentials:
+/// Euclidean metrics with `min_points`..`max_points` facilities, and the
+/// Fat-Tree k = 8/16 planner rack matrices, whose integral hop distances tie
+/// often. 1–12 clients, k = 2..max_k.
+std::vector<ScanCase> scan_cases(std::size_t min_points, std::size_t max_points,
+                                 std::size_t max_k, std::size_t euclidean,
+                                 const std::vector<int>& fat_tree_pods, std::uint64_t seed) {
+  static std::deque<sg::DistanceMatrix> metrics;  // outlives every returned case
+  sc::Pcg32 rng(seed);
+  std::vector<ScanCase> cases;
+  const auto draw_k = [&] { return 2 + rng.next_below(static_cast<std::uint32_t>(max_k - 1)); };
+  const auto draw_clients = [&] { return 1 + rng.next_below(12); };
+  for (std::size_t i = 0; i < euclidean; ++i) {
+    const std::size_t n = min_points + rng.next_below(static_cast<std::uint32_t>(
+                                           max_points - min_points + 1));
+    const sg::DistanceMatrix& m = metrics.emplace_back(random_metric(n, rng));
+    const std::size_t k = draw_k();
+    cases.push_back({"euclidean n=" + std::to_string(n) + " k=" + std::to_string(k),
+                     engine_shaped_instance(m, draw_clients(), k, rng)});
+  }
+  for (const int pods : fat_tree_pods) {
+    const sg::DistanceMatrix& m = fat_tree_rack_metric(pods);
+    for (int i = 0; i < 3; ++i) {
+      const std::size_t k = draw_k();
+      cases.push_back({"fat-tree k" + std::to_string(pods) + " k=" + std::to_string(k),
+                       engine_shaped_instance(m, draw_clients(), k, rng)});
+    }
+  }
+  return cases;
+}
+
+struct ScanOutcome {
+  bool found = false;
+  std::vector<std::size_t> medians;  ///< slot order
+  double cost = 0.0;
+  std::size_t evaluations = 0;
+  bool hit_cap = false;
+};
+
+ScanOutcome fast_scan(const sg::KMedianInstance& instance, const std::vector<std::size_t>& open,
+                      std::size_t p, std::size_t start) {
+  sg::KMedianState state(instance, open);
+  sg::KMedianSolution sol;
+  sol.evaluations = start;
+  sg::FastKMedianOptions options;
+  options.p = p;
+  const bool found = sg::multi_swap_scan(instance, state, sol, options);
+  return {found, state.open(), state.cost(), sol.evaluations, sol.hit_evaluation_cap};
+}
+
+ScanOutcome reference_scan(const sg::KMedianInstance& instance,
+                           const std::vector<std::size_t>& open, std::size_t p,
+                           std::size_t start) {
+  sg::KMedianSolution sol;
+  sol.medians = open;
+  sol.cost = sg::kmedian_cost(instance, open);
+  sol.evaluations = start;
+  const bool found = sg::detail::reference_swap_scan(instance, 2, p, 1e-9, sol);
+  return {found, sol.medians, sol.cost, sol.evaluations, sol.hit_evaluation_cap};
+}
+
+void expect_same_scan(const ScanOutcome& fast, const ScanOutcome& reference,
+                      const std::string& context) {
+  EXPECT_EQ(fast.found, reference.found) << context;
+  EXPECT_EQ(fast.medians, reference.medians) << context;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.cost), std::bit_cast<std::uint64_t>(reference.cost))
+      << context << ": cost " << fast.cost << " vs " << reference.cost;
+  EXPECT_EQ(fast.evaluations, reference.evaluations) << context;
+  EXPECT_EQ(fast.hit_cap, reference.hit_cap) << context;
+}
+
+/// Compares the two scans from `open` uncapped, then under caps already
+/// overshot on entry (as a p=1 sweep can leave it), at the first candidate,
+/// mid-scan, one before the accepting candidate and exactly at it. Returns
+/// the uncapped reference outcome.
+ScanOutcome expect_scan_parity(sg::KMedianInstance instance, const std::vector<std::size_t>& open,
+                               std::size_t p, const std::string& context) {
+  const std::size_t start = 1 + instance.k * (instance.facilities.size() - instance.k);
+  instance.max_evaluations = 0;
+  const ScanOutcome reference = reference_scan(instance, open, p, start);
+  expect_same_scan(fast_scan(instance, open, p, start), reference, context + " uncapped");
+  std::vector<std::size_t> caps = {start - 1, start, start + (reference.evaluations - start) / 2};
+  if (reference.found) {
+    caps.push_back(reference.evaluations - 1);
+    caps.push_back(reference.evaluations);
+  }
+  for (const std::size_t cap : caps) {
+    instance.max_evaluations = cap;
+    expect_same_scan(fast_scan(instance, open, p, start), reference_scan(instance, open, p, start),
+                     context + " cap " + std::to_string(cap));
+  }
+  return reference;
+}
+
+/// The reference Alg. 5 trajectory run phase by phase; true when it ever
+/// accepts a single swap. Without one, the fast solver's sweep-granular
+/// p=1 accounting counts exactly the reference's candidates.
+bool reference_accepts_single_swap(const sg::KMedianInstance& instance, std::size_t p) {
+  sg::KMedianSolution sol;
+  sol.medians.assign(instance.facilities.begin(),
+                     instance.facilities.begin() + static_cast<std::ptrdiff_t>(instance.k));
+  sol.cost = sg::kmedian_cost(instance, sol.medians);
+  for (;;) {
+    if (sg::detail::reference_swap_scan(instance, 1, 1, 1e-9, sol)) return true;
+    if (!sg::detail::reference_swap_scan(instance, 2, p, 1e-9, sol)) return false;
+  }
+}
+
 }  // namespace
 
 // --- Differential: the fast first-improvement p=1 path replays the
@@ -88,6 +234,82 @@ TEST(FastKMedianDifferential, FirstImprovementMatchesReferenceAcross50Seeds) {
           << "seed " << seed << " p " << p << ": costs diverged";
     }
   }
+}
+
+// --- Convergence scan: the bound-pruned multi-swap scan against the
+// --- reference combinational scan from random and 1-optimal open sets —
+// --- accepted tuple, cost bits, evaluations and cap flag, capped or not.
+
+void expect_scan_parity_on(const std::vector<ScanCase>& cases, std::size_t p,
+                           std::uint64_t seed) {
+  sc::Pcg32 rng(seed);
+  std::size_t accepted = 0;
+  std::size_t exhausted = 0;
+  for (const ScanCase& c : cases) {
+    std::vector<std::size_t> random_open = c.instance.facilities;
+    rng.shuffle(random_open);
+    random_open.resize(c.instance.k);
+    sg::FastKMedianOptions p1;
+    const std::vector<std::size_t> one_optimal = sg::fast_kmedian(c.instance, p1).medians;
+    for (const auto& [label, open] : {std::pair{"random", random_open},
+                                      std::pair{"1-optimal", one_optimal}}) {
+      const ScanOutcome reference = expect_scan_parity(
+          c.instance, open, p, c.name + " p=" + std::to_string(p) + " " + label + " open set");
+      ++(reference.found ? accepted : exhausted);
+    }
+  }
+  // Both outcomes must occur, or a differential could pass vacuously.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(exhausted, 0u);
+}
+
+TEST(FastKMedianScan, SwapSizeTwoMatchesReferenceScan) {
+  expect_scan_parity_on(scan_cases(30, 130, 5, 20, {8, 16}, 5000), 2, 5001);
+}
+
+TEST(FastKMedianScan, SwapSizeThreeMatchesReferenceScan) {
+  expect_scan_parity_on(scan_cases(30, 45, 4, 12, {8}, 5100), 3, 5101);
+}
+
+// --- fast_kmedian against local_search_kmedian on the same instances:
+// --- medians and cost always; evaluations too when no single swap is ever
+// --- accepted (facilities reordered to start from a 1-optimal set).
+
+TEST(FastKMedianScan, SolverMatchesReferenceOnEngineShapedInstances) {
+  std::size_t counted = 0;
+  for (const std::size_t p : {2u, 3u}) {
+    std::vector<ScanCase> cases = p == 2 ? scan_cases(30, 130, 5, 8, {8, 16}, 5200)
+                                         : scan_cases(30, 45, 4, 6, {8}, 5300);
+    for (ScanCase& c : cases) {
+      // Second pass: the reference's 1-optimal set first, so the p=1 phase
+      // opens with a sweep that accepts nothing.
+      for (int pass = 0; pass < 2; ++pass) {
+        if (pass == 1) {
+          const std::vector<std::size_t> start = sg::local_search_kmedian(c.instance, 1).medians;
+          std::vector<std::size_t> reordered = start;
+          for (std::size_t f : c.instance.facilities) {
+            if (std::find(start.begin(), start.end(), f) == start.end()) reordered.push_back(f);
+          }
+          c.instance.facilities = reordered;
+        }
+        const std::string context = c.name + " p=" + std::to_string(p) + " pass " +
+                                    std::to_string(pass);
+        const auto reference = sg::local_search_kmedian(c.instance, p);
+        sg::FastKMedianOptions options;
+        options.p = p;
+        const auto fast = sg::fast_kmedian(c.instance, options);
+        EXPECT_EQ(fast.medians, reference.medians) << context;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.cost),
+                  std::bit_cast<std::uint64_t>(reference.cost))
+            << context;
+        if (!reference_accepts_single_swap(c.instance, p)) {
+          EXPECT_EQ(fast.evaluations, reference.evaluations) << context;
+          ++counted;
+        }
+      }
+    }
+  }
+  EXPECT_GT(counted, 0u);
 }
 
 // --- The 3 + 2/p bound against the exhaustive optimum on <= 8x8
@@ -143,6 +365,28 @@ TEST(FastKMedianDeterminism, PoolSizesAgreeBitwise) {
         EXPECT_EQ(parallel.evaluations, serial.evaluations) << "seed " << seed;
       }
       options.pool = nullptr;
+    }
+  }
+}
+
+// Sweeps of at least 16k distance reads go to the pool; smaller ones run
+// their shards inline. Instances above that size must agree bitwise too.
+TEST(FastKMedianDeterminism, LargeSweepsAgreeAcrossPoolSizes) {
+  sc::ThreadPool pool2(2);
+  sc::ThreadPool pool8(8);
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    sc::Pcg32 rng(3100 + seed);
+    const auto m = random_metric(140, rng);  // 136 outside x 140 clients per sweep
+    auto instance = make_instance(m, 4);
+    sg::FastKMedianOptions options;
+    options.p = 1;
+    const auto serial = sg::fast_kmedian(instance, options);
+    for (sc::ThreadPool* pool : {&pool2, &pool8}) {
+      options.pool = pool;
+      const auto parallel = sg::fast_kmedian(instance, options);
+      EXPECT_EQ(parallel.medians, serial.medians) << "seed " << seed;
+      EXPECT_EQ(parallel.cost, serial.cost) << "seed " << seed;
+      EXPECT_EQ(parallel.evaluations, serial.evaluations) << "seed " << seed;
     }
   }
 }
