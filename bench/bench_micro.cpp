@@ -11,7 +11,6 @@
 
 #include "bench_support.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/kmedian_planner.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/floyd_warshall.hpp"
@@ -472,43 +471,6 @@ void BM_FastKMedianPlannerShaped(benchmark::State& state) {
                                                      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_FastKMedianPlannerShaped);
-
-/// Pool dispatch of the p = 1 delta sweeps against running their shards
-/// inline: one p = 1 plan on a k=32 Fat-Tree rack matrix (512 facility racks,
-/// 8 shards of 64), k = 4, range(0) source racks, so a sweep reads about
-/// 508·range(0) distances. range(1) = 1 passes the default pool, 0 passes
-/// none. Sweeps below kParallelSweepMinReads (src/graph/kmedian_fast.cpp)
-/// run inline on both legs; the arguments bracket that constant.
-void BM_FastKMedianSweepDispatch(benchmark::State& state) {
-  static const topo::Topology t = [] {
-    topo::FatTreeOptions options;
-    options.pods = 32;
-    return topo::build_fat_tree(options);
-  }();
-  static const core::KMedianPlanner planner(t);
-  common::Pcg32 rng(32);
-  std::vector<std::vector<topo::RackId>> source_sets(8);
-  for (auto& sources : source_sets) {
-    while (sources.size() < static_cast<std::size_t>(state.range(0))) {
-      const auto r = static_cast<topo::RackId>(rng.next_below(t.rack_count()));
-      if (std::find(sources.begin(), sources.end(), r) == sources.end()) sources.push_back(r);
-    }
-  }
-  core::KMedianPlanner::PlanOptions options;
-  options.k = 4;
-  options.p = 1;
-  options.fast = true;
-  options.pool = state.range(1) != 0 ? &common::default_pool() : nullptr;
-  std::size_t next = 0;
-  for (auto _ : state) {
-    const core::KMedianPlan plan = planner.plan(source_sets[next++ % source_sets.size()], options);
-    benchmark::DoNotOptimize(plan.connection_cost);
-  }
-  state.counters["reads_per_sweep"] = static_cast<double>((t.rack_count() - 4) * state.range(0));
-}
-BENCHMARK(BM_FastKMedianSweepDispatch)
-    ->ArgsProduct({{4, 8, 16, 32, 64, 128}, {0, 1}})
-    ->ArgNames({"sources", "pooled"});
 
 void BM_FatTreeBuild(benchmark::State& state) {
   topo::FatTreeOptions options;

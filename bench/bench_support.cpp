@@ -287,7 +287,6 @@ core::EngineConfig scale_engine_config(const ScaleScenario& scenario, bool optim
   config.cost_surface = caches;
   config.cost_pruning = caches;
   config.prewarm_cost_rows = caches;
-  config.parallel_workload = caches;
   if (scenario.shard_ablation) {
     config.sharded_manage = optimized;
     config.manage_shards = scenario.manage_shards;

@@ -6,11 +6,15 @@
 //   2. The fair-share allocator produces link loads; switch queues update
 //      and emit QCN congestion feedback.
 //   3. Every VM's predictor observes the new sample; shims *collect*
-//      alerts from the T-ahead predictions — in parallel, one task per
-//      rack, since collection is read-only.
-//   4. Shims *act* (Alg. 1): FLOWREROUTE + VMMIGRATION through the FCFS
-//      admission broker; actions are serialized across shims, which is
-//      exactly the message-passing semantics of Alg. 3/4.
+//      alerts from the T-ahead predictions, one task per rack, since
+//      collection is read-only.
+//   4. Shims run Alg. 1's alert dispatch (FLOWREROUTE first) and hand each
+//      migration set to one schedule step that the protocol picks: a
+//      demand for the message-passing REQUEST/ACK run (Alg. 3/4), or an
+//      FCFS scheduler run through one shared admission broker.
+//
+// Every sweep runs on the worker pool (EngineConfig::pool). A one-thread
+// pool is the serial mode; results are identical at every pool size.
 //
 // The same engine can run in centralized mode, where one manager with the
 // global view processes the union of all alerts against all hosts — the
@@ -73,20 +77,15 @@ struct EngineConfig {
   MigrationProtocol protocol = MigrationProtocol::kMessagePassing;
   PredictorKind predictor = PredictorKind::kHolt;
   double flow_demand_scale_gbps = 0.4;  ///< demand per dependency edge at TRF=1
-  bool parallel_collect = true;         ///< run shim collection on the thread pool
   bool qcn_rate_control = true;         ///< end-host reaction to QCN feedback (Sec. III-A.2)
   // --- per-round hot-path switches (all on by default; turning one off
   //     reproduces the naive recompute-everything behavior, the bench
   //     baseline). The caching switches never change results; the two
   //     cost-rooting switches pick equal-cost trees whose FP summation
   //     order / path tie-breaks may differ, so each mode is deterministic
-  //     but the modes are not bit-identical to each other. ----------------
+  //     but the modes are not bit-identical to each other. Parallelism is
+  //     not a switch: the pool size alone decides it. -------------------
   bool incremental_fair_share = true;  ///< stateful FairShareSolver vs from-scratch waterfill
-  /// Water-fill dirty sharing-graph components on the worker pool. Like
-  /// the pool size, this never changes results — each component writes
-  /// only its own slice of the allocation and every summation order is
-  /// canonical — so it is excluded from the checkpoint fingerprint.
-  bool parallel_fair_share = true;
   bool route_cache = true;             ///< Router shortest-path-tree + resolved-path caches
   bool retain_cost_trees = true;       ///< keep cost-model Dijkstra trees across rounds
   /// Dependency-span distances rooted at the partners instead of every
@@ -119,10 +118,6 @@ struct EngineConfig {
   /// themselves are bit-identical either way. Only meaningful with
   /// retain_cost_trees. Excluded from the checkpoint fingerprint.
   bool prewarm_cost_rows = true;
-  /// Workload trace advance swept across the worker pool. Each VM owns its
-  /// counter-seeded RNG streams, so the sweep is bit-identical at any pool
-  /// size — excluded from the checkpoint fingerprint like manage_shards.
-  bool parallel_workload = true;
   /// Regional sharding of the manage phase (kSheriff mode, DESIGN.md §11):
   /// shims are grouped into deterministic contiguous rack shards, each
   /// shard's alert dispatch + reroute/migration planning runs as one
@@ -141,10 +136,13 @@ struct EngineConfig {
   std::size_t kmedian_destination_racks = 4;  ///< k medians per plan (kKMedian mode)
   std::size_t kmedian_swap_p = 2;             ///< Alg. 5 swap size (kKMedian mode)
   std::size_t kmedian_max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
-  /// Worker pool for the parallel sweeps (predictor observe, switch queue
-  /// update, shim collect, protocol propose). nullptr = the process-wide
-  /// default pool. Sweeps are bit-identical for any pool size — tests pin
-  /// pools of size 1/2/8 to prove it.
+  /// Worker pool for every parallel sweep (workload advance, fair-share
+  /// fill, switch queue update, predictor observe, shim collect, shard
+  /// propose, protocol propose, k-median planner rows). nullptr = the
+  /// process-wide default pool; a one-thread pool runs them serially.
+  /// Sweeps are bit-identical for any pool size — tests pin pools of size
+  /// 1/2/8 to prove it — so the pool never enters the checkpoint
+  /// fingerprint.
   common::ThreadPool* pool = nullptr;
   /// Optional timed fault schedule (link/switch/host/shim failures, lossy
   /// protocol messaging). Must outlive the engine. An empty plan (or

@@ -121,7 +121,6 @@ KMedianPlan KMedianPlanner::plan(const std::vector<topo::RackId>& source_racks,
   if (options.fast) {
     graph::FastKMedianOptions fast;
     fast.p = options.p;
-    fast.pool = options.pool;
     solution = graph::fast_kmedian(instance, fast);
   } else {
     solution = graph::local_search_kmedian(instance, options.p);
@@ -205,7 +204,6 @@ MigrationPlan KMedianMigrationManager::migrate(std::vector<wl::VmId> alerted) {
   plan_options.k = std::min(options_.destination_racks, planner_->facility_racks().size());
   plan_options.p = options_.local_search_p;
   plan_options.fast = options_.fast_local_search;
-  plan_options.pool = options_.pool;
   plan_options.max_evaluations = options_.max_evaluations;
   KMedianPlan selection;
   {

@@ -99,7 +99,6 @@ class KMedianPlanner {
     /// Delta-evaluated solver (first-improvement: identical medians to the
     /// reference scan); false = the reference local_search_kmedian.
     bool fast = true;
-    common::ThreadPool* pool = nullptr; ///< shards the fast gain sweeps
     std::size_t max_evaluations = 0;    ///< safety cap (0 = unlimited)
   };
 
@@ -150,7 +149,6 @@ class KMedianMigrationManager {
     /// first-improvement trajectory parity); false = reference solver.
     bool fast_local_search = true;
     std::size_t max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
-    common::ThreadPool* pool = nullptr; ///< shards the fast gain sweeps
     /// When set, detached hosts (dead, or cut off behind a dead ToR) are
     /// excluded from the migration targets. Must outlive the manager.
     const topo::LivenessMask* liveness = nullptr;

@@ -367,29 +367,6 @@ std::vector<topo::NodeId> ShimController::migration_targets(
   return targets;
 }
 
-ShimActResult ShimController::act(const ShimCollectResult& collected,
-                                  wl::Deployment& deployment,
-                                  std::span<const wl::WorkloadProfile> predicted,
-                                  mig::MigrationCostModel& cost_model,
-                                  mig::AdmissionBroker& broker,
-                                  const net::FlowRerouter& rerouter, std::span<net::Flow> flows,
-                                  std::span<const wl::VmId> flow_owner) const {
-  auto selection = select(collected, deployment, predicted, rerouter, flows, flow_owner);
-  ShimActResult result;
-  result.reroutes = selection.reroutes;
-  result.host_alerts = selection.host_alerts;
-  result.tor_alerts = selection.tor_alerts;
-  result.switch_alerts = selection.switch_alerts;
-  if (!selection.migration_set.empty()) {
-    VmMigrationScheduler scheduler(deployment, cost_model, broker,
-                                   config_.max_matching_rounds);
-    result.plan = scheduler.migrate(std::move(selection.migration_set),
-                                    migration_targets(deployment));
-  }
-  return result;
-}
-
-
 void ShimController::save_state(snapshot::Writer& writer) const {
   writer.put_u64(pending_alerts_);
   writer.put_u64(pending_reroutes_);

@@ -7,19 +7,20 @@
 //   feedback from outer switches, producing the round's Alert set (the
 //   input of Alg. 1).
 //
-//   act() — Alg. 1 proper: partition alerts by type, build the candidate
-//   sets F, select VMs with PRIORITY (Alg. 2), reroute flows around hot
-//   outer switches (FLOWREROUTE first — it is cheaper than migration), and
-//   drive VMMIGRATION (Alg. 3) against the one-hop neighbor region. act()
-//   mutates the shared deployment via the admission broker, so the engine
-//   serializes it across shims (FCFS) while collect() runs in parallel.
+//   select() / propose() — Alg. 1's alert dispatch: partition alerts by
+//   type, build the candidate sets F, select VMs with PRIORITY (Alg. 2),
+//   and reroute flows around hot outer switches (FLOWREROUTE first — it is
+//   cheaper than migration). select() reroutes as it goes; propose() only
+//   records reroute claims, which apply_reroute() commits later. Either
+//   way the result is the migration set M_v, which the engine schedules
+//   (VMMIGRATION, Alg. 3) into the one-hop neighbor region given by
+//   migration_targets().
 
 #include <span>
 #include <vector>
 
 #include "core/alert.hpp"
 #include "core/config.hpp"
-#include "core/vm_migration.hpp"
 #include "net/queueing.hpp"
 #include "net/reroute.hpp"
 #include "obs/registry.hpp"
@@ -39,18 +40,9 @@ struct ShimCollectResult {
 
 /// The outcome of Alg. 1's alert dispatch before any migration is
 /// scheduled: which VMs to move (M_v), what was rerouted, and the alert
-/// tallies. Feeds either the serialized scheduler (act()) or the
-/// message-passing protocol (DistributedMigrationProtocol).
+/// tallies. The engine's legacy interleaved sweep schedules the set next.
 struct ShimSelection {
   std::vector<wl::VmId> migration_set;
-  net::RerouteReport reroutes;
-  std::size_t host_alerts = 0;
-  std::size_t tor_alerts = 0;
-  std::size_t switch_alerts = 0;
-};
-
-struct ShimActResult {
-  MigrationPlan plan;
   net::RerouteReport reroutes;
   std::size_t host_alerts = 0;
   std::size_t tor_alerts = 0;
@@ -158,15 +150,6 @@ class ShimController {
   /// (mutates the shared flow table) — the engine orders these by shim id.
   net::RerouteReport apply_reroute(topo::NodeId hot_switch, const net::FlowRerouter& rerouter,
                                    std::span<net::Flow> flows) const;
-
-  /// select() + the serialized Alg. 3 scheduler against this shim's region
-  /// (the one-shot convenience used by tests and the sweep benches; the
-  /// engine's default path is the message-passing protocol).
-  ShimActResult act(const ShimCollectResult& collected, wl::Deployment& deployment,
-                    std::span<const wl::WorkloadProfile> predicted,
-                    mig::MigrationCostModel& cost_model, mig::AdmissionBroker& broker,
-                    const net::FlowRerouter& rerouter, std::span<net::Flow> flows,
-                    std::span<const wl::VmId> flow_owner) const;
 
   /// Migration receivers within the region: underloaded hosts first, the
   /// whole region as fallback.

@@ -5,52 +5,22 @@
 #include <limits>
 
 #include "common/require.hpp"
-#include "common/thread_pool.hpp"
 
 namespace sheriff::graph {
 
 namespace {
 
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Distance reads below which a delta sweep runs its shards inline: a
-/// cross-thread dispatch costs more than that much arithmetic. The shard
-/// partition and merge order do not depend on it. Measured with
-/// BM_FastKMedianSweepDispatch (512 facilities, 8 shards, 4-thread pool on a
-/// 4-core 2 GHz VM), pooled and inline p = 1 plans tie at ~16k reads per
-/// sweep; pooling is ~1.5x slower at 8k and ~1.4x faster at 32k. A k=16
-/// Fat-Tree plan never reaches it (124 outside racks × ≤128 clients).
-constexpr std::size_t kParallelSweepMinReads = 16384;
-
-/// One accepted/recommended single swap out of a delta sweep.
+/// The single swap a delta sweep accepts.
 struct SwapChoice {
   bool found = false;
   std::size_t position = 0;  ///< median slot to close
   std::size_t facility = 0;  ///< facility id to open
-  double gain = 0.0;
-};
-
-/// Per-shard sweep output; merged in shard order after the parallel phase.
-struct ShardResult {
-  // Best-improvement: highest-gain improving swap of the shard.
-  SwapChoice best;
-  // First-improvement: per median slot, the smallest outside-scan index of
-  // an improving facility in this shard (kNone when none improves there).
-  std::vector<std::size_t> first_by_pos;
 };
 
 bool improves(double cost, double gain, double min_relative_gain) {
   // Mirror the reference acceptance test: candidate < cost · (1 − ε).
   return cost - gain < cost * (1.0 - min_relative_gain);
-}
-
-/// (gain, facility id, position) ordering for best-improvement: strictly
-/// higher gain wins; ties break on lowest facility id, then lowest slot.
-bool better_choice(const SwapChoice& candidate, const SwapChoice& incumbent) {
-  if (!incumbent.found) return true;
-  if (candidate.gain != incumbent.gain) return candidate.gain > incumbent.gain;
-  if (candidate.facility != incumbent.facility) return candidate.facility < incumbent.facility;
-  return candidate.position < incumbent.position;
 }
 
 }  // namespace
@@ -144,10 +114,12 @@ void KMedianState::apply_swap(std::size_t position, std::size_t facility) {
 namespace {
 
 /// Facilities outside the current median set, in instance order — the same
-/// scan order the reference solver uses.
+/// scan order the reference solver uses. Refills `outside`, keeping its
+/// capacity.
 std::vector<std::size_t> outside_facilities(const KMedianInstance& instance,
-                                            const KMedianState& state) {
-  std::vector<std::size_t> outside;
+                                            const KMedianState& state,
+                                            std::vector<std::size_t> outside = {}) {
+  outside.clear();
   outside.reserve(instance.facilities.size());
   for (std::size_t f : instance.facilities) {
     if (!state.is_open(f)) outside.push_back(f);
@@ -155,20 +127,20 @@ std::vector<std::size_t> outside_facilities(const KMedianInstance& instance,
   return outside;
 }
 
-/// Evaluates the candidate facilities `outside[lo..hi)` against every median
-/// slot via the delta formula and records the shard's recommendation.
-void sweep_shard(const KMedianInstance& instance, const KMedianState& state,
-                 const std::vector<std::size_t>& outside, std::size_t lo, std::size_t hi,
-                 const FastKMedianOptions& options, ShardResult& result) {
-  const std::size_t k = state.open().size();
+/// One full delta sweep over all k·|outside| single swaps. Returns the first
+/// improving swap in the reference order — the lowest median slot any
+/// facility improves, and the first such facility in `outside` — so the
+/// sweep replays the reference trajectory. `loss` is k-sized scratch.
+SwapChoice delta_sweep(const KMedianInstance& instance, const KMedianState& state,
+                       const std::vector<std::size_t>& outside, std::vector<double>& loss,
+                       double min_relative_gain) {
   const std::size_t clients = instance.clients.size();
   const double cost = state.cost();
-  std::vector<double> loss(k);
-  if (options.policy == SwapPolicy::kFirstImprovement) {
-    result.first_by_pos.assign(k, kNone);
-  }
-  for (std::size_t oi = lo; oi < hi; ++oi) {
-    const std::size_t f = outside[oi];
+  SwapChoice chosen;
+  // Slots a later facility can still win: only those below the chosen one,
+  // since facilities arrive in scan order.
+  std::size_t limit = state.open().size();
+  for (std::size_t f : outside) {
     std::fill(loss.begin(), loss.end(), 0.0);
     double gain_add = 0.0;
     for (std::size_t ci = 0; ci < clients; ++ci) {
@@ -182,63 +154,11 @@ void sweep_shard(const KMedianInstance& instance, const KMedianState& state,
         loss[state.nearest_position(ci)] += std::min(state.second_distance(ci), dcf) - d1;
       }
     }
-    for (std::size_t pos = 0; pos < k; ++pos) {
-      const double gain = gain_add - loss[pos];
-      if (!improves(cost, gain, options.min_relative_gain)) continue;
-      if (options.policy == SwapPolicy::kFirstImprovement) {
-        // oi ascends, so the first hit per slot is the shard's smallest.
-        if (result.first_by_pos[pos] == kNone) result.first_by_pos[pos] = oi;
-      } else {
-        SwapChoice candidate{true, pos, f, gain};
-        if (better_choice(candidate, result.best)) result.best = candidate;
+    for (std::size_t pos = 0; pos < limit; ++pos) {
+      if (improves(cost, gain_add - loss[pos], min_relative_gain)) {
+        chosen = {true, pos, f};
+        limit = pos;  // ends this loop too
       }
-    }
-  }
-}
-
-/// One full delta sweep over all k·|outside| single swaps. Shards the
-/// candidate facilities, merges shard results in fixed order, and returns
-/// the chosen swap (policy-dependent) — byte-identical for any pool size.
-SwapChoice delta_sweep(const KMedianInstance& instance, const KMedianState& state,
-                       const std::vector<std::size_t>& outside,
-                       const FastKMedianOptions& options) {
-  SwapChoice chosen;
-  if (outside.empty()) return chosen;
-  const std::size_t shard_size = std::max<std::size_t>(1, options.shard_size);
-  const std::size_t shards = (outside.size() + shard_size - 1) / shard_size;
-  std::vector<ShardResult> results(shards);
-  const auto run_shard = [&](std::size_t s) {
-    const std::size_t lo = s * shard_size;
-    const std::size_t hi = std::min(outside.size(), lo + shard_size);
-    sweep_shard(instance, state, outside, lo, hi, options, results[s]);
-  };
-  if (options.pool != nullptr && shards > 1 &&
-      outside.size() * instance.clients.size() >= kParallelSweepMinReads) {
-    common::parallel_for(*options.pool, shards, run_shard);
-  } else {
-    for (std::size_t s = 0; s < shards; ++s) run_shard(s);
-  }
-  if (options.policy == SwapPolicy::kFirstImprovement) {
-    // Reference order is median-slot major: the winner is the lowest slot
-    // with any improving facility, then the smallest scan index there.
-    const std::size_t k = state.open().size();
-    for (std::size_t pos = 0; pos < k && !chosen.found; ++pos) {
-      std::size_t first = kNone;
-      for (const ShardResult& r : results) {
-        if (r.first_by_pos[pos] != kNone) {
-          first = r.first_by_pos[pos];
-          break;  // shards cover ascending index ranges
-        }
-      }
-      if (first != kNone) {
-        chosen.found = true;
-        chosen.position = pos;
-        chosen.facility = outside[first];
-      }
-    }
-  } else {
-    for (const ShardResult& r : results) {
-      if (r.best.found && better_choice(r.best, chosen)) chosen = r.best;
     }
   }
   return chosen;
@@ -443,6 +363,8 @@ KMedianSolution fast_kmedian(const KMedianInstance& instance, const FastKMedianO
                       instance.facilities.begin() + static_cast<std::ptrdiff_t>(instance.k)});
   KMedianSolution sol;
   sol.evaluations = 1;
+  std::vector<std::size_t> outside;
+  std::vector<double> loss(instance.k);
 
   bool converged = false;
   while (!converged && !sol.hit_evaluation_cap) {
@@ -452,8 +374,9 @@ KMedianSolution fast_kmedian(const KMedianInstance& instance, const FastKMedianO
         sol.hit_evaluation_cap = true;
         break;
       }
-      const std::vector<std::size_t> outside = outside_facilities(instance, state);
-      const SwapChoice choice = delta_sweep(instance, state, outside, options);
+      outside = outside_facilities(instance, state, std::move(outside));
+      const SwapChoice choice =
+          delta_sweep(instance, state, outside, loss, options.min_relative_gain);
       sol.evaluations += outside.size() * state.open().size();
       if (!choice.found) break;
       state.apply_swap(choice.position, choice.facility);

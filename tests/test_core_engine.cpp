@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "common/require.hpp"
+#include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
@@ -36,16 +37,10 @@ wl::DeploymentOptions deployment_options(std::uint64_t seed = 42) {
   return options;
 }
 
-core::EngineConfig engine_config() {
-  core::EngineConfig config;
-  config.parallel_collect = false;  // keep unit tests single-threaded
-  return config;
-}
-
 }  // namespace
 
 TEST(Engine, RoundsRunAndCountersAreConsistent) {
-  core::DistributedEngine engine(fat_tree(), deployment_options(), engine_config());
+  core::DistributedEngine engine(fat_tree(), deployment_options(), core::EngineConfig{});
   const auto metrics = engine.run(6);
   ASSERT_EQ(metrics.size(), 6u);
   EXPECT_EQ(engine.rounds_run(), 6u);
@@ -60,7 +55,7 @@ TEST(Engine, RoundsRunAndCountersAreConsistent) {
 }
 
 TEST(Engine, HostCapacityNeverExceeded) {
-  core::DistributedEngine engine(fat_tree(), deployment_options(1), engine_config());
+  core::DistributedEngine engine(fat_tree(), deployment_options(1), core::EngineConfig{});
   engine.run(8);
   const auto& d = engine.deployment();
   for (const auto& node : fat_tree().nodes()) {
@@ -70,7 +65,7 @@ TEST(Engine, HostCapacityNeverExceeded) {
 }
 
 TEST(Engine, DependencyConflictsPreservedAfterMigrations) {
-  core::DistributedEngine engine(fat_tree(), deployment_options(2), engine_config());
+  core::DistributedEngine engine(fat_tree(), deployment_options(2), core::EngineConfig{});
   engine.run(8);
   const auto& d = engine.deployment();
   for (wl::VmId a = 0; a < d.vm_count(); ++a) {
@@ -81,7 +76,7 @@ TEST(Engine, DependencyConflictsPreservedAfterMigrations) {
 }
 
 TEST(Engine, MigrationsActuallyHappenUnderSkew) {
-  core::DistributedEngine engine(fat_tree(), deployment_options(3), engine_config());
+  core::DistributedEngine engine(fat_tree(), deployment_options(3), core::EngineConfig{});
   const auto metrics = engine.run(10);
   std::size_t total_migrations = 0;
   for (const auto& m : metrics) total_migrations += m.migrations;
@@ -89,7 +84,7 @@ TEST(Engine, MigrationsActuallyHappenUnderSkew) {
 }
 
 TEST(Engine, BalanceImprovesOverRounds) {
-  core::DistributedEngine engine(fat_tree(), deployment_options(4), engine_config());
+  core::DistributedEngine engine(fat_tree(), deployment_options(4), core::EngineConfig{});
   const auto metrics = engine.run(12);
   // Average stddev over the last three rounds must beat the first round's
   // (the workload is stochastic, so compare smoothed values).
@@ -103,8 +98,8 @@ TEST(Engine, BalanceImprovesOverRounds) {
 }
 
 TEST(Engine, DeterministicAcrossIdenticalRuns) {
-  core::DistributedEngine a(fat_tree(), deployment_options(5), engine_config());
-  core::DistributedEngine b(fat_tree(), deployment_options(5), engine_config());
+  core::DistributedEngine a(fat_tree(), deployment_options(5), core::EngineConfig{});
+  core::DistributedEngine b(fat_tree(), deployment_options(5), core::EngineConfig{});
   const auto ma = a.run(5);
   const auto mb = b.run(5);
   for (std::size_t r = 0; r < ma.size(); ++r) {
@@ -116,9 +111,14 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
 }
 
 TEST(Engine, ParallelCollectMatchesSerial) {
-  auto parallel_config = engine_config();
-  parallel_config.parallel_collect = true;
-  core::DistributedEngine serial(fat_tree(), deployment_options(6), engine_config());
+  // The pool size alone decides parallelism: one thread is the serial mode.
+  sc::ThreadPool one_thread(1);
+  sc::ThreadPool four_threads(4);
+  core::EngineConfig serial_config;
+  serial_config.pool = &one_thread;
+  core::EngineConfig parallel_config;
+  parallel_config.pool = &four_threads;
+  core::DistributedEngine serial(fat_tree(), deployment_options(6), serial_config);
   core::DistributedEngine parallel(fat_tree(), deployment_options(6), parallel_config);
   const auto ms = serial.run(4);
   const auto mp = parallel.run(4);
@@ -130,8 +130,8 @@ TEST(Engine, ParallelCollectMatchesSerial) {
 }
 
 TEST(Engine, CentralizedModeSearchesMoreAndCostsLessPerMove) {
-  auto sheriff_config = engine_config();
-  auto central_config = engine_config();
+  core::EngineConfig sheriff_config;
+  core::EngineConfig central_config;
   central_config.mode = core::ManagerMode::kCentralized;
 
   core::DistributedEngine sheriff(fat_tree(), deployment_options(7), sheriff_config);
@@ -148,7 +148,7 @@ TEST(Engine, CentralizedModeSearchesMoreAndCostsLessPerMove) {
 }
 
 TEST(Engine, FlowsFollowMigratedVms) {
-  core::DistributedEngine engine(fat_tree(), deployment_options(8), engine_config());
+  core::DistributedEngine engine(fat_tree(), deployment_options(8), core::EngineConfig{});
   engine.run(8);
   const auto& d = engine.deployment();
   // Every routed flow starts at its owner VM's current host.
@@ -169,7 +169,7 @@ TEST(Engine, EnsemblePredictorModeRunsOnTinyDeployment) {
   const auto tiny = topo::build_fat_tree(topt);
   auto dopt = deployment_options(9);
   dopt.vms_per_host = 2.0;
-  auto config = engine_config();
+  core::EngineConfig config;
   config.predictor = core::PredictorKind::kEnsemble;
   core::DistributedEngine engine(tiny, dopt, config);
   const auto metrics = engine.run(3);
@@ -181,7 +181,7 @@ TEST(Engine, WorksOnBCube) {
   options.ports = 4;
   options.levels = 1;
   const auto t = topo::build_bcube(options);
-  core::DistributedEngine engine(t, deployment_options(10), engine_config());
+  core::DistributedEngine engine(t, deployment_options(10), core::EngineConfig{});
   const auto metrics = engine.run(6);
   EXPECT_EQ(metrics.size(), 6u);
   const auto& d = engine.deployment();
@@ -196,7 +196,7 @@ class EngineProperties : public ::testing::TestWithParam<int> {};
 TEST_P(EngineProperties, InvariantsAcrossSeeds) {
   auto deploy = deployment_options(static_cast<std::uint64_t>(GetParam()) * 131 + 3);
   deploy.vms_per_host = 2.0 + (GetParam() % 3);
-  auto config = engine_config();
+  core::EngineConfig config;
   config.flow_demand_scale_gbps = 0.3 + 0.2 * (GetParam() % 4);
   core::DistributedEngine engine(fat_tree(), deploy, config);
   const auto metrics = engine.run(6);
@@ -233,7 +233,7 @@ TEST_P(EngineProperties, InvariantsAcrossSeeds) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineProperties, ::testing::Range(1, 9));
 
 TEST(Engine, AlertedVmsMatchesThreshold) {
-  core::DistributedEngine engine(fat_tree(), deployment_options(11), engine_config());
+  core::DistributedEngine engine(fat_tree(), deployment_options(11), core::EngineConfig{});
   engine.run(2);
   const core::AlertScheme scheme(engine.config().sheriff.vm_alert_threshold);
   for (wl::VmId id : engine.alerted_vms()) {

@@ -336,7 +336,6 @@ TEST(Protocol, EngineModesBothPreserveInvariants) {
   for (const auto protocol_kind :
        {core::MigrationProtocol::kMessagePassing, core::MigrationProtocol::kSerializedFcfs}) {
     core::EngineConfig config;
-    config.parallel_collect = false;
     config.protocol = protocol_kind;
     wl::DeploymentOptions deploy;
     deploy.seed = 86;

@@ -280,7 +280,6 @@ fault::FaultPlan surface_fault_plan(const topo::Topology& topology, std::size_t 
 struct DecisionLeg {
   bool cost_surface = false;
   bool cost_pruning = false;
-  bool parallel_workload = false;
   bool prewarm_cost_rows = false;
   std::size_t pool_threads = 1;
 };
@@ -302,7 +301,6 @@ std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
   config.pool = &pool;
   config.cost_surface = leg.cost_surface;
   config.cost_pruning = leg.cost_pruning;
-  config.parallel_workload = leg.parallel_workload;
   config.prewarm_cost_rows = leg.prewarm_cost_rows;
   core::DistributedEngine engine(topology, surface_deployment(), config);
   std::vector<core::RoundMetrics> metrics;
@@ -322,7 +320,7 @@ std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
 }
 
 /// The headline differential: naive kernel (surface off, pruning off,
-/// serial advance, 1 thread) vs the optimized kernel at pool sizes
+/// 1-thread pool) vs the optimized kernel at pool sizes
 /// 1/2/8 — metrics CSV and checkpoint bytes must match byte for byte.
 void expect_decision_kernel_invariance(const topo::Topology& topology, bool faulted) {
   const std::size_t rounds = 60;
@@ -346,7 +344,6 @@ void expect_decision_kernel_invariance(const topo::Topology& topology, bool faul
     DecisionLeg leg;
     leg.cost_surface = true;
     leg.cost_pruning = true;
-    leg.parallel_workload = true;
     leg.prewarm_cost_rows = true;
     leg.pool_threads = threads;
     const auto [csv, bytes] = run_decision_leg(topology, plan_ptr, leg, rounds);
@@ -374,9 +371,9 @@ TEST(CostSurface, BCubeFaultedDecisionKernelIsConfigInvariant) {
 }
 
 TEST(CostSurface, CheckpointLoadsAcrossKernelConfigs) {
-  // cost_surface / cost_pruning / parallel_workload are results-identical
-  // accelerations, so they are excluded from the checkpoint fingerprint —
-  // a checkpoint saved with them on loads into an engine with them off.
+  // cost_surface / cost_pruning are results-identical accelerations, so
+  // they are excluded from the checkpoint fingerprint — a checkpoint saved
+  // with them on loads into an engine with them off.
   const topo::Topology topology = small_fat_tree();
   core::EngineConfig fast;
   core::DistributedEngine engine(topology, surface_deployment(), fast);
@@ -386,7 +383,6 @@ TEST(CostSurface, CheckpointLoadsAcrossKernelConfigs) {
   core::EngineConfig naive;
   naive.cost_surface = false;
   naive.cost_pruning = false;
-  naive.parallel_workload = false;
   core::DistributedEngine resumed(topology, surface_deployment(), naive);
   EXPECT_NO_THROW(core::Checkpoint::deserialize(resumed, bytes));
 }

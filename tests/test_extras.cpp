@@ -113,7 +113,6 @@ TEST(EngineExtras, ProtocolMetricsExposed) {
   topt.hosts_per_rack = 3;
   const auto t = topo::build_fat_tree(topt);
   core::EngineConfig config;
-  config.parallel_collect = false;
   wl::DeploymentOptions deploy;
   deploy.seed = 94;
   deploy.skew_weight = 10.0;

@@ -1,9 +1,8 @@
 // Lockdown for the flat water-filling kernel (DESIGN.md §13): component
 // decomposition and partial-churn reuse, pool-size invariance of the
 // parallel component fill (solver-level bitwise equality AND engine-level
-// metrics-CSV + checkpoint-byte equality), the parallel_fair_share config
-// flag being a pure throughput knob, and the fair_share.components /
-// fair_share.arena_bytes gauges.
+// metrics-CSV + checkpoint-byte equality), checkpoint resume across pool
+// sizes, and the fair_share.components / fair_share.arena_bytes gauges.
 
 #include <gtest/gtest.h>
 
@@ -218,8 +217,8 @@ std::string metrics_csv(const std::vector<core::RoundMetrics>& rounds) {
   return os.str();
 }
 
-/// Runs R rounds at pool sizes 1/2/8 with the parallel fair-share fill on
-/// and requires the metrics CSV and every checkpoint byte to be identical.
+/// Runs R rounds at pool sizes 1/2/8 (the fair-share fill runs on the
+/// pool) and requires the metrics CSV and every checkpoint byte to be identical.
 void expect_pool_size_invariance(const topo::Topology& topology, bool faulted) {
   const std::size_t rounds_n = 120;
   fault::FaultPlan plan = faulted ? kernel_fault_plan(topology, rounds_n) : fault::FaultPlan{};
@@ -230,7 +229,6 @@ void expect_pool_size_invariance(const topo::Topology& topology, bool faulted) {
     core::EngineConfig config;
     config.observe = true;
     config.pool = &pool;
-    config.parallel_fair_share = true;
     if (faulted) config.fault_plan = &plan;
     core::DistributedEngine engine(topology, kernel_deployment(), config);
     std::vector<core::RoundMetrics> rounds;
@@ -263,33 +261,37 @@ TEST(FairShareKernel, BCubeFaultedEngineIsPoolSizeInvariant) {
   expect_pool_size_invariance(small_bcube(), true);
 }
 
-// parallel_fair_share is a throughput knob: flipping it off must not move
-// a byte of the metrics CSV, and the checkpoint fingerprint deliberately
-// excludes it, so a checkpoint from either setting matches the other.
-TEST(FairShareKernel, ParallelFlagDoesNotChangeResults) {
+// The pool size is a throughput knob that the checkpoint fingerprint
+// excludes: a checkpoint saved on a four-thread pool resumes on a
+// one-thread pool and continues byte-identically to the run that never
+// stopped.
+TEST(FairShareKernel, CheckpointResumesAcrossPoolSizes) {
   const auto topology = small_fat_tree();
-  const std::size_t rounds_n = 80;
-  std::string reference_csv;
-  std::vector<std::uint8_t> reference_checkpoint;
-  for (const bool parallel : {false, true}) {
-    sc::ThreadPool pool(4);
-    core::EngineConfig config;
-    config.observe = true;
-    config.pool = &pool;
-    config.parallel_fair_share = parallel;
-    core::DistributedEngine engine(topology, kernel_deployment(), config);
-    std::vector<core::RoundMetrics> rounds;
-    for (std::size_t r = 0; r < rounds_n; ++r) rounds.push_back(engine.run_round());
-    const std::string csv = metrics_csv(rounds);
-    const std::vector<std::uint8_t> checkpoint = core::Checkpoint::serialize(engine);
-    if (!parallel) {
-      reference_csv = csv;
-      reference_checkpoint = checkpoint;
-    } else {
-      EXPECT_EQ(csv, reference_csv);
-      EXPECT_EQ(checkpoint == reference_checkpoint, true);
+  const std::size_t rounds_n = 40;
+  sc::ThreadPool four_threads(4);
+  sc::ThreadPool one_thread(1);
+  core::EngineConfig config;
+  config.observe = true;
+  config.pool = &four_threads;
+  core::DistributedEngine original(topology, kernel_deployment(), config);
+  for (std::size_t r = 0; r < rounds_n; ++r) original.run_round();
+  const std::vector<std::uint8_t> saved = core::Checkpoint::serialize(original);
+
+  config.pool = &one_thread;
+  core::DistributedEngine resumed(topology, kernel_deployment(), config);
+  core::Checkpoint::deserialize(resumed, saved);
+  EXPECT_EQ(metrics_csv(resumed.run(rounds_n)), metrics_csv(original.run(rounds_n)));
+  // The router's caches resume cold, so its router.* cache-traffic gauges
+  // differ by construction; every other checkpoint byte must match.
+  const auto final_checkpoint = [](core::DistributedEngine& engine) {
+    for (const char* name : {"router.tree_hits", "router.tree_misses", "router.path_hits",
+                             "router.path_misses", "router.evictions", "router.tree_repairs",
+                             "router.tree_drops"}) {
+      engine.observation_hub()->registry().gauge(name).set(0.0);
     }
-  }
+    return core::Checkpoint::serialize(engine);
+  };
+  EXPECT_EQ(final_checkpoint(resumed) == final_checkpoint(original), true);
 }
 
 // --- observability -----------------------------------------------------------

@@ -256,7 +256,6 @@ TEST(ManageSharding, ShardStatsCloseAndRoundTripThroughCheckpoints) {
 TEST(ManageSharding, LegacySweepStillRunsAndNeverReportsShardConflicts) {
   const topo::Topology topology = small_fat_tree();
   core::EngineConfig config;
-  config.parallel_collect = false;
   config.sharded_manage = false;  // the pre-sharding interleaved select() sweep
   core::DistributedEngine engine(topology, sharding_deployment(), config);
   EXPECT_EQ(engine.shard_plan().shard_count(), 1u);

@@ -61,7 +61,6 @@ wl::DeploymentOptions deployment_options(std::uint64_t seed = 42) {
 
 core::EngineConfig audited_config() {
   core::EngineConfig config;
-  config.parallel_collect = false;
   config.audit = true;  // implies observe
   return config;
 }
@@ -98,21 +97,25 @@ void expect_clean_run(const topo::Topology& t, core::EngineConfig config, std::s
 // --- S1: auditor-on end-to-end runs ---------------------------------------
 
 TEST(AuditorE2E, FatTreePristineSequential) {
-  expect_clean_run(fat_tree(), audited_config(), kLongRun);
+  sc::ThreadPool pool(1);
+  auto config = audited_config();
+  config.pool = &pool;
+  expect_clean_run(fat_tree(), config, kLongRun);
 }
 
 TEST(AuditorE2E, FatTreePristinePool8) {
   sc::ThreadPool pool(8);
   auto config = audited_config();
-  config.parallel_collect = true;
   config.pool = &pool;
   expect_clean_run(fat_tree(), config, kLongRun);
 }
 
 TEST(AuditorE2E, FatTreeFaultedSequential) {
+  sc::ThreadPool pool(1);
   const auto plan = faulted_plan(fat_tree());
   auto config = audited_config();
   config.fault_plan = &plan;
+  config.pool = &pool;
   expect_clean_run(fat_tree(), config, kLongRun);
 }
 
@@ -121,13 +124,15 @@ TEST(AuditorE2E, FatTreeFaultedPool8) {
   const auto plan = faulted_plan(fat_tree());
   auto config = audited_config();
   config.fault_plan = &plan;
-  config.parallel_collect = true;
   config.pool = &pool;
   expect_clean_run(fat_tree(), config, kLongRun);
 }
 
 TEST(AuditorE2E, BCubePristineSequential) {
-  expect_clean_run(bcube(), audited_config(), kLongRun, 11);
+  sc::ThreadPool pool(1);
+  auto config = audited_config();
+  config.pool = &pool;
+  expect_clean_run(bcube(), config, kLongRun, 11);
 }
 
 TEST(AuditorE2E, BCubeFaultedPool8) {
@@ -146,7 +151,6 @@ TEST(AuditorE2E, BCubeFaultedPool8) {
   plan.set_options(options);
   auto config = audited_config();
   config.fault_plan = &plan;
-  config.parallel_collect = true;
   config.pool = &pool;
   expect_clean_run(t, config, kLongRun, 11);
 }

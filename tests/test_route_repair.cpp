@@ -323,7 +323,6 @@ void expect_route_cache_invisible(const topo::Topology& t, const fault::FaultPla
   std::vector<std::uint8_t> reference_checkpoint;
   for (const bool cache : {true, false}) {
     core::EngineConfig config;
-    config.parallel_collect = false;
     config.fault_plan = &plan;
     config.route_cache = cache;
     core::DistributedEngine engine(t, deployment, config);

@@ -66,7 +66,6 @@ TEST(ThreeTier, EngineRunsEndToEnd) {
   options.hosts_per_rack = 3;
   const auto t = topo::build_three_tier(options);
   core::EngineConfig config;
-  config.parallel_collect = false;
   wl::DeploymentOptions deploy;
   deploy.seed = 61;
   core::DistributedEngine engine(t, deploy, config);
