@@ -286,7 +286,6 @@ core::EngineConfig scale_engine_config(const ScaleScenario& scenario, bool optim
   config.fast_kmedian = caches;
   config.cost_surface = caches;
   config.cost_pruning = caches;
-  config.prewarm_cost_rows = caches;
   if (scenario.shard_ablation) {
     config.sharded_manage = optimized;
     config.manage_shards = scenario.manage_shards;

@@ -30,6 +30,14 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+void ThreadPool::enqueue(std::function<void()> task) {
+  {
+    std::scoped_lock lock(mutex_);
+    queue_.push(std::move(task));
+  }
+  cv_.notify_one();
+}
+
 void ThreadPool::worker_loop() {
   t_worker_pool = this;
   for (;;) {
@@ -45,39 +53,45 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  // Reentrancy guard: a nested parallel_for on the pool the caller already
-  // works for would enqueue tasks that can only run once the caller (and
-  // every sibling blocked the same way) returns — a deadlock at full
-  // occupancy. Run inline instead; pool size is a pure throughput knob
-  // everywhere in this codebase, so "size 1, this thread" is sound.
-  if (pool.on_worker_thread()) {
+void parallel_for(ThreadPool* pool, std::size_t n, const std::function<void(std::size_t)>& fn) {
+  // The one dispatch rule (see the header). The reentrancy clause matters
+  // for correctness, not just cost: a nested parallel_for on the pool the
+  // caller already works for would enqueue chunks that can only run once
+  // the caller (and every sibling blocked the same way) returns — a
+  // deadlock at full occupancy.
+  if (pool == nullptr || pool->size() < 2 || n < 2 || pool->on_worker_thread()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Chunk to at most 4 tasks per worker to bound scheduling overhead.
-  const std::size_t chunks = std::min(n, pool.size() * 4);
+  // At most 4 chunks per worker bound the queueing overhead; each chunk
+  // claims indices until none are left, so uneven bodies still balance.
+  const std::size_t chunks = std::min(n, pool->size() * 4);
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    futures.push_back(pool.submit([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        try {
-          fn(i);
-        } catch (...) {
-          std::scoped_lock lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
+  std::size_t unfinished = chunks;
+  std::mutex mutex;  // guards first_error and unfinished
+  std::condition_variable done;
+  const auto chunk = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      try {
+        fn(i);
+      } catch (...) {
+        std::scoped_lock lock(mutex);
+        if (!first_error) first_error = std::current_exception();
       }
-    }));
-  }
-  for (auto& f : futures) f.get();
+    }
+    // Notify under the lock: once the caller sees zero it returns and the
+    // stack state above is gone, so no chunk may touch it after unlocking.
+    std::scoped_lock lock(mutex);
+    if (--unfinished == 0) done.notify_one();
+  };
+  // The queued task captures one reference, so it fits std::function's
+  // small buffer and enqueues without allocating.
+  for (std::size_t c = 0; c < chunks; ++c) pool->enqueue([&chunk] { chunk(); });
+  std::unique_lock lock(mutex);
+  done.wait(lock, [&] { return unfinished == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -1,24 +1,27 @@
 #pragma once
-// Work-queue thread pool plus a parallel_for helper.
+// Work-queue thread pool plus the parallel_for helper every sweep uses.
 //
-// The distributed engine runs one ShimController task per rack per round on
-// this pool (shims only interact through message mailboxes, so tasks are
-// data-race free), and the benches use parallel_for to sweep topology sizes.
+// The engine's per-VM, per-switch, per-rack and per-shard sweeps, the
+// fleet runner and the benches all go through parallel_for, and
+// parallel_for alone decides whether a sweep is worth a pool. It runs the
+// body inline — on the calling thread, in index order 0..n-1 — when:
+//   * the pool is null (a caller below its grain passes nullptr);
+//   * the pool has one worker (handing the body to that worker costs tens
+//     of microseconds and buys nothing);
+//   * n < 2;
+//   * the caller is one of the pool's own workers (the reentrancy guard).
+// Otherwise the iterations are spread over the pool's workers. Every
+// parallel body in this codebase writes only to its own index, so the two
+// modes produce identical results; pool size is a throughput knob only.
 //
-// Reentrancy (DESIGN.md §12): a parallel_for issued *from a worker thread
-// of the same pool* runs its iterations inline on that worker instead of
-// enqueueing. Without the guard, two-level parallelism — e.g. a fleet
-// worker running an engine whose sweeps target the fleet's own pool —
-// deadlocks as soon as every worker blocks on futures only the (fully
-// occupied) pool could drain. Inline execution is the deterministic
-// degradation: iteration order becomes 0..n-1 serially, which is
-// indistinguishable from a pool of size one, and pool size never changes
-// results anywhere in this codebase.
+// Reentrancy (DESIGN.md §12): without the guard, two-level parallelism —
+// e.g. a fleet worker running an engine whose sweeps target the fleet's
+// own pool — deadlocks as soon as every worker blocks on chunks only the
+// (fully occupied) pool could drain.
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -42,22 +45,11 @@ class ThreadPool {
   /// inline rather than deadlocking on a saturated queue.
   [[nodiscard]] bool on_worker_thread() const noexcept;
 
-  /// Enqueues a task; the future resolves when it finishes (exceptions
-  /// propagate through the future).
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    auto fut = task->get_future();
-    {
-      std::scoped_lock lock(mutex_);
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
-
  private:
+  friend void parallel_for(ThreadPool* pool, std::size_t n,
+                           const std::function<void(std::size_t)>& fn);
+
+  void enqueue(std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;
@@ -67,13 +59,11 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Runs fn(i) for i in [0, n) across the pool, blocking until all complete.
-/// Exceptions from any iteration are rethrown (first one wins).
-///
-/// Reentrancy guard: when called from one of `pool`'s own worker threads,
-/// the iterations run inline (serially, in index order) on the caller —
-/// never enqueued — so nested parallelism over one pool cannot deadlock.
-void parallel_for(ThreadPool& pool, std::size_t n, const std::function<void(std::size_t)>& fn);
+/// Runs fn(i) for i in [0, n), blocking until all complete: inline under
+/// the rule in the header comment, else across the pool's workers.
+/// Exceptions propagate: inline, the first throw ends the sweep; pooled,
+/// every index still runs and the first exception caught is rethrown.
+void parallel_for(ThreadPool* pool, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 /// Process-wide default pool (lazily constructed, sized to the hardware).
 ThreadPool& default_pool();

@@ -37,7 +37,7 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
   cost_model_.set_shared_leaf_trees(config_.shared_leaf_cost_trees);
   cost_model_.set_surface_enabled(config_.cost_surface);
   cost_model_.set_pruning_enabled(config_.cost_pruning);
-  if (config_.retain_cost_trees && config_.prewarm_cost_rows) {
+  if (config_.retain_cost_trees) {
     // Startup, not round, time: the ToR-rooted distance rows (and their
     // rack-prefix link memos) derive from the immutable pristine topology
     // only, so build them all here — the first manage round's decision
@@ -106,7 +106,8 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
   if (config_.mode == ManagerMode::kKMedian) {
     // The planner's ToR rows are computed once here and shared across
     // rounds; fast_kmedian=false reproduces the naive per-round rebuild in
-    // run_round (and solves with the reference scan, serially). A fleet
+    // run_round and solves with the reference scan. Either way the row
+    // sweep gets the worker pool: the rows do not depend on it. A fleet
     // substrate can lend its pre-built maskless planner instead, but only
     // inside the envelope where this engine would never mutate one: the
     // fast path (no per-round rebuild()) on a pristine fabric (no
@@ -123,7 +124,7 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
       kmedian_planner_view_ = substrate.kmedian_planner;
     } else {
       KMedianPlannerOptions planner_options;
-      planner_options.pool = config_.fast_kmedian ? &worker_pool() : nullptr;
+      planner_options.pool = &worker_pool();
       planner_options.liveness = injector_ != nullptr ? &injector_->liveness() : nullptr;
       // Pristine fabrics share the cost model's distance rows (identical
       // values, one source of truth); faulted ones need masked sweeps.
@@ -272,18 +273,13 @@ common::ThreadPool& DistributedEngine::worker_pool() const {
 }
 
 void DistributedEngine::observe_and_predict() {
-  auto& pool = worker_pool();
-  const auto work = [&](std::size_t i) {
+  const std::size_t n = deployment_.vm_count();
+  common::parallel_for(n > 256 ? &worker_pool() : nullptr, n, [&](std::size_t i) {
     predictors_[i]->observe(deployment_.vm(static_cast<wl::VmId>(i)).profile);
     predicted_[i] = predictors_[i]->ready()
                         ? predictors_[i]->predict(config_.sheriff.prediction_horizon)
                         : deployment_.vm(static_cast<wl::VmId>(i)).profile;
-  };
-  if (deployment_.vm_count() > 256) {
-    common::parallel_for(pool, deployment_.vm_count(), work);
-  } else {
-    for (std::size_t i = 0; i < deployment_.vm_count(); ++i) work(i);
-  }
+  });
 }
 
 std::vector<wl::VmId> DistributedEngine::alerted_vms() const {
@@ -436,17 +432,11 @@ RoundMetrics DistributedEngine::run_round() {
   }
 
   std::vector<ShimCollectResult> collected(shims_.size());
-  {
-    const auto work = [&](std::size_t s) {
-      collected[s] = shims_[s].collect(deployment_, predicted_, observations[s]);
-    };
-    if (shims_.size() > 8) {
-      common::parallel_for(worker_pool(), shims_.size(), work);
-    } else {
-      for (std::size_t s = 0; s < shims_.size(); ++s) work(s);
-    }
-    for (std::size_t s = 0; s < shims_.size(); ++s) shims_[s].record_alerts(collected[s]);
-  }
+  common::parallel_for(shims_.size() > 8 ? &worker_pool() : nullptr, shims_.size(),
+                       [&](std::size_t s) {
+                         collected[s] = shims_[s].collect(deployment_, predicted_, observations[s]);
+                       });
+  for (std::size_t s = 0; s < shims_.size(); ++s) shims_[s].record_alerts(collected[s]);
   predict_timer.reset();
   std::optional<PhaseTimer> manage_timer(std::in_place, profile_.manage_ns);
 
@@ -686,13 +676,7 @@ std::vector<ShimProposal> DistributedEngine::propose_shards(
   };
   // propose() is pure (no flow mutation, no trace emission, no tallies), so
   // the shards can run concurrently over the same round state.
-  if (shard_plan_.shard_count() > 1) {
-    common::parallel_for(worker_pool(), shard_plan_.shard_count(), propose_shard);
-  } else {
-    for (std::size_t shard = 0; shard < shard_plan_.shard_count(); ++shard) {
-      propose_shard(shard);
-    }
-  }
+  common::parallel_for(&worker_pool(), shard_plan_.shard_count(), propose_shard);
   return proposals;
 }
 
@@ -879,9 +863,8 @@ void DistributedEngine::save_state(snapshot::Writer& writer) const {
   // sharded_manage is semantics-bearing (legacy interleaved sweep vs
   // two-phase commit), so it fingerprints; manage_shards does not — the
   // shard count never changes results, exactly like the pool size.
-  // cost_surface / cost_pruning / prewarm_cost_rows are results-identical
-  // accelerations (bitwise-equal selections and traces) and are likewise
-  // excluded.
+  // cost_surface / cost_pruning are results-identical accelerations
+  // (bitwise-equal selections and traces) and are likewise excluded.
   writer.put_bool(config_.sharded_manage);
   writer.put_bool(injector_ != nullptr);
   writer.put_bool(channel_ != nullptr);

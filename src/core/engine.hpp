@@ -87,7 +87,11 @@ struct EngineConfig {
   //     not a switch: the pool size alone decides it. -------------------
   bool incremental_fair_share = true;  ///< stateful FairShareSolver vs from-scratch waterfill
   bool route_cache = true;             ///< Router shortest-path-tree + resolved-path caches
-  bool retain_cost_trees = true;       ///< keep cost-model Dijkstra trees across rounds
+  /// Keep cost-model Dijkstra trees across rounds. On, the engine also
+  /// builds every ToR-rooted row at construction (they depend only on the
+  /// immutable pristine topology), so the first manage round's decision
+  /// sweep runs against warm rows; bit-identical to lazy construction.
+  bool retain_cost_trees = true;
   /// Dependency-span distances rooted at the partners instead of every
   /// candidate destination (one Dijkstra tree per partner, not per host).
   bool partner_rooted_costs = true;
@@ -110,14 +114,6 @@ struct EngineConfig {
   /// with it on or off — only the cost.evaluated/cost.pruned counter split
   /// moves). Excluded from the checkpoint fingerprint.
   bool cost_pruning = true;
-  /// Eagerly build the cost model's ToR-rooted distance rows at engine
-  /// construction instead of lazily inside the first manage round. The
-  /// rows depend only on the immutable pristine topology (like the
-  /// k-median planner's matrix, which is already built eagerly), so this
-  /// moves a one-time startup cost out of the decision path; the rows
-  /// themselves are bit-identical either way. Only meaningful with
-  /// retain_cost_trees. Excluded from the checkpoint fingerprint.
-  bool prewarm_cost_rows = true;
   /// Regional sharding of the manage phase (kSheriff mode, DESIGN.md §11):
   /// shims are grouped into deterministic contiguous rack shards, each
   /// shard's alert dispatch + reroute/migration planning runs as one
@@ -138,8 +134,12 @@ struct EngineConfig {
   std::size_t kmedian_max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
   /// Worker pool for every parallel sweep (workload advance, fair-share
   /// fill, switch queue update, predictor observe, shim collect, shard
-  /// propose, protocol propose, k-median planner rows). nullptr = the
-  /// process-wide default pool; a one-thread pool runs them serially.
+  /// propose, protocol propose/decide, k-median planner rows). nullptr =
+  /// the process-wide default pool. Each sweep is one common::parallel_for
+  /// call, which runs it inline on the round's thread when the pool has
+  /// one worker, the sweep has fewer than two items or is below its grain
+  /// constant, or the round already runs on one of the pool's workers — so
+  /// a one-thread pool is the serial mode in cost as well as in results.
   /// Sweeps are bit-identical for any pool size — tests pin pools of size
   /// 1/2/8 to prove it — so the pool never enters the checkpoint
   /// fingerprint.

@@ -72,11 +72,7 @@ void KMedianPlanner::rebuild() {
         }
       }
     };
-    if (options_.pool != nullptr && shards > 1) {
-      common::parallel_for(*options_.pool, shards, run_shard);
-    } else {
-      for (std::size_t s = 0; s < shards; ++s) run_shard(s);
-    }
+    common::parallel_for(options_.pool, shards, run_shard);
   }
 
   facilities_.clear();

@@ -112,11 +112,7 @@ ProtocolResult DistributedMigrationProtocol::run(std::vector<MigrationDemand> de
                                       demands[i].region_targets,
                                       &search_space_by_demand[i]);
     };
-    if (pool_ != nullptr && demands.size() > 1) {
-      common::parallel_for(*pool_, demands.size(), propose);
-    } else {
-      for (std::size_t i = 0; i < demands.size(); ++i) propose(i);
-    }
+    common::parallel_for(pool_, demands.size(), propose);
 
     // --- DELIVER: group requests by destination rack (serial: the lossy
     // channel's draw order must not depend on thread scheduling) ----------
@@ -186,12 +182,8 @@ ProtocolResult DistributedMigrationProtocol::run(std::vector<MigrationDemand> de
     for (std::size_t r = 0; r < topo.rack_count(); ++r) {
       if (!mailbox[r].empty()) busy_racks.push_back(r);
     }
-    if (pool_ != nullptr && busy_racks.size() > 1) {
-      common::parallel_for(*pool_, busy_racks.size(),
-                           [&](std::size_t i) { decide(busy_racks[i]); });
-    } else {
-      for (std::size_t r : busy_racks) decide(r);
-    }
+    common::parallel_for(pool_, busy_racks.size(),
+                         [&](std::size_t i) { decide(busy_racks[i]); });
 
     // --- APPLY (serial, deterministic order) -----------------------------
     bool progress = false;

@@ -446,8 +446,9 @@ FleetReport run_sweep(const SweepGrid& grid, const FleetOptions& options) {
       inner = checkout_inner();
       config.pool = inner.get();
     } else {
-      // The reentrancy guard turns the engine's sweeps into inline serial
-      // loops on this fleet worker: one run saturates exactly one core.
+      // On a fleet worker the reentrancy guard turns the engine's sweeps
+      // into inline loops: one run saturates exactly one core. (A one-run
+      // or one-worker sweep runs inline on the caller; see parallel_for.)
       config.pool = &fleet_pool;
     }
 
@@ -493,7 +494,7 @@ FleetReport run_sweep(const SweepGrid& grid, const FleetOptions& options) {
     }
   };
 
-  common::parallel_for(fleet_pool, pending.size(),
+  common::parallel_for(&fleet_pool, pending.size(),
                        [&](std::size_t i) { run_one(pending[i]); });
 
   for (const RunRecord& r : report.runs) {

@@ -471,12 +471,8 @@ const FairShareResult& FairShareSolver::solve(std::span<Flow> flows,
   fill_order_.resize(sort_total);
   heap_pool_.resize(heap_total);
   const std::size_t refilled = sort_total;
-  if (pool_ != nullptr && dirty_comps_.size() > 1 && refilled >= kParallelFillMinFlows) {
-    common::parallel_for(*pool_, dirty_comps_.size(),
-                         [this](std::size_t di) { fill_component(di); });
-  } else {
-    for (std::size_t di = 0; di < dirty_comps_.size(); ++di) fill_component(di);
-  }
+  common::parallel_for(refilled >= kParallelFillMinFlows ? pool_ : nullptr, dirty_comps_.size(),
+                       [this](std::size_t di) { fill_component(di); });
   timings_.fill_ns += phase_watch.elapsed_ns();
 
   for (std::size_t f = 0; f < n; ++f) flows[f].allocated_gbps = result_.flow_rate[f];

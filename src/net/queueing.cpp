@@ -49,11 +49,8 @@ void SwitchQueues::update(const FairShareResult& shares, std::span<Flow> flows, 
       if (queue_[node.id] < 1e-9) queue_[node.id] = 0.0;
     }
   };
-  if (pool != nullptr && topo_->node_count() >= kParallelGrain) {
-    common::parallel_for(*pool, topo_->node_count(), integrate);
-  } else {
-    for (std::size_t id = 0; id < topo_->node_count(); ++id) integrate(id);
-  }
+  common::parallel_for(topo_->node_count() >= kParallelGrain ? pool : nullptr,
+                       topo_->node_count(), integrate);
 
   // DSCP marking: flows transiting a congested switch get marked, others
   // get cleared (the mark reflects the current state, not history). Each
@@ -70,11 +67,8 @@ void SwitchQueues::update(const FairShareResult& shares, std::span<Flow> flows, 
     }
     f.dscp = marked ? DscpMark::kCongested : DscpMark::kNone;
   };
-  if (pool != nullptr && !hot.empty() && flows.size() >= kParallelGrain) {
-    common::parallel_for(*pool, flows.size(), mark);
-  } else {
-    for (std::size_t i = 0; i < flows.size(); ++i) mark(i);
-  }
+  common::parallel_for(!hot.empty() && flows.size() >= kParallelGrain ? pool : nullptr,
+                       flows.size(), mark);
 }
 
 double SwitchQueues::queue_length(topo::NodeId sw) const {

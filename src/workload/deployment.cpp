@@ -195,29 +195,18 @@ void Deployment::add_dependency(VmId a, VmId b) {
   dependencies_.add_dependency(a, b);
 }
 
-void Deployment::advance() {
-  for (std::size_t i = 0; i < vms_.size(); ++i) {
-    for (std::size_t f = 0; f < kFeatureCount; ++f) {
-      vms_[i].profile.values[f] = dynamics_[i].feature_sources[f]->next();
-    }
-  }
-}
-
 void Deployment::advance(common::ThreadPool* pool) {
   // Each VM's feature generators own independent counter-seeded RNG
   // streams, so iteration i touches only vms_[i]/dynamics_[i]: the sweep
   // parallelizes with bit-identical results at any pool size. Tiny fleets
-  // stay serial — task dispatch would cost more than the tick.
+  // stay inline — task dispatch would cost more than the tick.
   constexpr std::size_t kParallelThreshold = 512;
-  if (pool == nullptr || vms_.size() < kParallelThreshold) {
-    advance();
-    return;
-  }
-  common::parallel_for(*pool, vms_.size(), [this](std::size_t i) {
-    for (std::size_t f = 0; f < kFeatureCount; ++f) {
-      vms_[i].profile.values[f] = dynamics_[i].feature_sources[f]->next();
-    }
-  });
+  common::parallel_for(vms_.size() >= kParallelThreshold ? pool : nullptr, vms_.size(),
+                       [this](std::size_t i) {
+                         for (std::size_t f = 0; f < kFeatureCount; ++f) {
+                           vms_[i].profile.values[f] = dynamics_[i].feature_sources[f]->next();
+                         }
+                       });
 }
 
 void Deployment::save_state(snapshot::Writer& writer) const {

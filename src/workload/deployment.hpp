@@ -81,14 +81,11 @@ class Deployment {
   /// hosts — dependent VMs may never share one.
   void add_dependency(VmId a, VmId b);
 
-  /// Advances every VM's workload profile by one sample tick.
-  void advance();
-
-  /// Same, sweeping the VMs across `pool` (serial when null). Each VM owns
-  /// its feature generators and their counter-seeded RNG streams, so the
-  /// per-VM writes are disjoint and the result is bit-identical to the
-  /// serial sweep at any pool size.
-  void advance(common::ThreadPool* pool);
+  /// Advances every VM's workload profile by one sample tick, sweeping the
+  /// VMs across `pool` (inline when null). Each VM owns its feature
+  /// generators and their counter-seeded RNG streams, so the per-VM writes
+  /// are disjoint and the result is bit-identical at any pool size.
+  void advance(common::ThreadPool* pool = nullptr);
 
   /// Capacity-weighted load on a host as a percentage of its capacity.
   [[nodiscard]] double host_load_percent(topo::NodeId host) const;

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/ascii_plot.hpp"
@@ -249,36 +251,68 @@ TEST(AsciiPlot, HandlesConstantSeries) {
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   sc::ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  sc::parallel_for(pool, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  std::atomic<int> off_worker{0};
+  sc::parallel_for(&pool, hits.size(), [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    if (!pool.on_worker_thread()) off_worker.fetch_add(1);
+  });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(off_worker.load(), 0);  // a multi-worker pool really fans out
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
   sc::ThreadPool pool(2);
-  EXPECT_THROW(sc::parallel_for(pool, 10,
+  EXPECT_THROW(sc::parallel_for(&pool, 10,
                                 [](std::size_t i) {
                                   if (i == 7) throw std::runtime_error("boom");
                                 }),
                std::runtime_error);
 }
 
-TEST(ThreadPool, SubmitReturnsValue) {
-  sc::ThreadPool pool(2);
-  auto fut = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(fut.get(), 42);
+// The inline half of the dispatch rule: a null pool, a one-thread pool and
+// a one-item sweep on a wider pool all run the body on the calling thread,
+// in index order, and a throw still reaches the caller (ending the sweep).
+TEST(ThreadPool, NullAndOneThreadPoolsRunInlineInIndexOrder) {
+  sc::ThreadPool one_thread(1);
+  sc::ThreadPool two_threads(2);
+  const auto caller = std::this_thread::get_id();
+  const std::vector<std::pair<sc::ThreadPool*, std::size_t>> cases = {
+      {nullptr, 50}, {&one_thread, 50}, {&two_threads, 1}};
+  for (const auto& [pool, n] : cases) {
+    std::vector<std::size_t> order;
+    bool on_caller = true;
+    sc::parallel_for(pool, n, [&](std::size_t i) {
+      on_caller = on_caller && std::this_thread::get_id() == caller;
+      order.push_back(i);
+    });
+    std::vector<std::size_t> expected(n);
+    std::iota(expected.begin(), expected.end(), std::size_t{0});
+    EXPECT_TRUE(on_caller) << "n=" << n;
+    EXPECT_EQ(order, expected) << "n=" << n;
+  }
+  for (sc::ThreadPool* pool : {static_cast<sc::ThreadPool*>(nullptr), &one_thread}) {
+    std::vector<std::size_t> ran;
+    EXPECT_THROW(sc::parallel_for(pool, 10,
+                                  [&](std::size_t i) {
+                                    ran.push_back(i);
+                                    if (i == 3) throw std::runtime_error("boom");
+                                  }),
+                 std::runtime_error);
+    EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2, 3}));
+  }
 }
 
 // A parallel_for issued from a worker of the same pool must run inline
-// (the reentrancy guard, DESIGN.md §12). Before the guard, this exact
-// shape deadlocked on a size-1 pool: the outer task occupied the only
-// worker while the inner iterations waited in the queue forever.
+// (the reentrancy guard, DESIGN.md §12). Without the guard this shape
+// deadlocks: the two outer tasks occupy both workers while the inner
+// iterations wait in the queue forever.
 TEST(ThreadPool, NestedParallelForOnOwnPoolRunsInline) {
-  sc::ThreadPool pool(1);
+  sc::ThreadPool pool(2);
   std::atomic<int> inner_sum{0};
   std::atomic<bool> saw_worker_thread{false};
-  sc::parallel_for(pool, 2, [&](std::size_t) {
+  sc::parallel_for(&pool, 2, [&](std::size_t) {
     if (pool.on_worker_thread()) saw_worker_thread.store(true);
-    sc::parallel_for(pool, 100, [&](std::size_t i) {
+    sc::parallel_for(&pool, 100, [&](std::size_t i) {
       inner_sum.fetch_add(static_cast<int>(i));
     });
   });
@@ -292,13 +326,16 @@ TEST(ThreadPool, NestedParallelForOnOwnPoolRunsInline) {
 TEST(ThreadPool, ReentrancyGuardDistinguishesPools) {
   // Two-level mode: a worker of the outer pool fanning out on a *different*
   // inner pool must really use the inner pool's workers, not inline.
-  sc::ThreadPool outer(1);
+  sc::ThreadPool outer(2);
   sc::ThreadPool inner(2);
+  std::atomic<int> ran_on_outer_worker{0};
   std::atomic<int> ran_on_inner_worker{0};
-  sc::parallel_for(outer, 1, [&](std::size_t) {
-    sc::parallel_for(inner, 64, [&](std::size_t) {
+  sc::parallel_for(&outer, 2, [&](std::size_t) {
+    if (outer.on_worker_thread()) ran_on_outer_worker.fetch_add(1);
+    sc::parallel_for(&inner, 64, [&](std::size_t) {
       if (inner.on_worker_thread()) ran_on_inner_worker.fetch_add(1);
     });
   });
-  EXPECT_EQ(ran_on_inner_worker.load(), 64);
+  EXPECT_EQ(ran_on_outer_worker.load(), 2);
+  EXPECT_EQ(ran_on_inner_worker.load(), 2 * 64);
 }

@@ -280,7 +280,6 @@ fault::FaultPlan surface_fault_plan(const topo::Topology& topology, std::size_t 
 struct DecisionLeg {
   bool cost_surface = false;
   bool cost_pruning = false;
-  bool prewarm_cost_rows = false;
   std::size_t pool_threads = 1;
 };
 
@@ -301,7 +300,6 @@ std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
   config.pool = &pool;
   config.cost_surface = leg.cost_surface;
   config.cost_pruning = leg.cost_pruning;
-  config.prewarm_cost_rows = leg.prewarm_cost_rows;
   core::DistributedEngine engine(topology, surface_deployment(), config);
   std::vector<core::RoundMetrics> metrics;
   metrics.reserve(rounds);
@@ -344,7 +342,6 @@ void expect_decision_kernel_invariance(const topo::Topology& topology, bool faul
     DecisionLeg leg;
     leg.cost_surface = true;
     leg.cost_pruning = true;
-    leg.prewarm_cost_rows = true;
     leg.pool_threads = threads;
     const auto [csv, bytes] = run_decision_leg(topology, plan_ptr, leg, rounds);
     EXPECT_EQ(csv, reference_csv) << "metrics diverged at pool=" << threads;
