@@ -51,7 +51,7 @@ int main() {
     common::RunningStats ratio;
     common::RunningStats evals;
     for (const auto& inst : instances) {
-      const auto approx = planner.plan(inst.sources, inst.k, p);
+      const auto approx = planner.plan_reference(inst.sources, inst.k, p);
       const auto exact = planner.plan_exact(inst.sources, inst.k);
       if (exact.connection_cost > 1e-9) {
         ratio.add(approx.connection_cost / exact.connection_cost);

@@ -1,5 +1,5 @@
 // Fleet-runner bench: sweep the five bench_scale scenarios × 8 seeds (40
-// independent optimized-engine runs) through fleet::run_sweep at 1 worker
+// independent production-engine runs) through fleet::run_sweep at 1 worker
 // and at 8 workers, and report
 //
 //   * the wall-clock speedup of the 8-worker sweep (runs are independent,
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     spec.name = s.name;
     spec.topology = &s.topology;
     spec.deployment = s.deploy;
-    spec.config = bench::scale_engine_config(s, /*optimized=*/true);
+    spec.config = bench::scale_engine_config(s);
     spec.rounds = rounds_cap > 0 ? std::min(s.rounds, rounds_cap) : s.rounds;
     grid.scenarios.push_back(std::move(spec));
   }

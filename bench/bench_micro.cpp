@@ -22,6 +22,7 @@
 #include "net/queueing.hpp"
 #include "net/rate_control.hpp"
 #include "net/routing.hpp"
+#include "reference.hpp"
 #include "timeseries/arima.hpp"
 #include "timeseries/holt_winters.hpp"
 #include "timeseries/narnet.hpp"
@@ -305,20 +306,18 @@ mig::CostParams cost_kernel_params() {
   return params;
 }
 
-void configure_cost_kernel_model(mig::MigrationCostModel& model, const CostKernelScenario& s,
-                                 bool surface) {
+void configure_cost_kernel_model(mig::MigrationCostModel& model, const CostKernelScenario& s) {
   model.set_partner_rooted(true);
   model.set_shared_leaf_trees(true);
-  model.set_surface_enabled(surface);
   model.set_bandwidth_state(&s.shares);
 }
 
-// Cost of the once-per-round SoA snapshot (set_bandwidth_state with the
-// surface on rebuilds it); the price every surfaced evaluation amortizes.
+// Cost of the once-per-round SoA snapshot (set_bandwidth_state rebuilds
+// it); the price every surfaced evaluation amortizes.
 void BM_CostKernelSurfaceBuild(benchmark::State& state) {
   const CostKernelScenario& s = cost_kernel_scenario();
   mig::MigrationCostModel model(s.topo, s.deployment, cost_kernel_params());
-  configure_cost_kernel_model(model, s, true);
+  configure_cost_kernel_model(model, s);
   for (auto _ : state) {
     model.set_bandwidth_state(&s.shares);
     benchmark::DoNotOptimize(model.stats().surface_builds);
@@ -326,19 +325,24 @@ void BM_CostKernelSurfaceBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CostKernelSurfaceBuild);
 
-// Per-candidate Eq. (1) evaluation: Arg(0) = legacy per-link walk over the
-// shares vectors, Arg(1) = the flat CostSurface kernel (bit-identical
-// costs; the speedup is the point).
+// Per-candidate Eq. (1) evaluation: Arg(0) = the reference per-link walk
+// over the shares vectors (sheriff_reference::legacy_cost), Arg(1) = the
+// production CostSurface kernel (bit-identical costs; the speedup is the
+// point).
 void BM_CostKernelEval(benchmark::State& state) {
   const CostKernelScenario& s = cost_kernel_scenario();
   mig::MigrationCostModel model(s.topo, s.deployment, cost_kernel_params());
-  configure_cost_kernel_model(model, s, state.range(0) != 0);
+  configure_cost_kernel_model(model, s);
+  const bool surface = state.range(0) != 0;
   common::Pcg32 rng(11);
   std::vector<std::pair<wl::VmId, topo::NodeId>> pairs;
   for (int i = 0; i < 256; ++i) pairs.emplace_back(rng.pick(s.alerted), rng.pick(s.hosts));
   for (auto _ : state) {
     double sum = 0.0;
-    for (const auto& [vm, dest] : pairs) sum += model.cost(vm, dest).total();
+    for (const auto& [vm, dest] : pairs) {
+      sum += surface ? model.cost(vm, dest).total()
+                     : reference::legacy_cost(model, s.deployment, &s.shares, vm, dest).total();
+    }
     benchmark::DoNotOptimize(sum);
   }
 }
@@ -351,7 +355,7 @@ BENCHMARK(BM_CostKernelEval)->Arg(0)->Arg(1);
 void BM_CostKernelPrunedSweep(benchmark::State& state) {
   const CostKernelScenario& s = cost_kernel_scenario();
   mig::MigrationCostModel model(s.topo, s.deployment, cost_kernel_params());
-  configure_cost_kernel_model(model, s, true);
+  configure_cost_kernel_model(model, s);
   const bool prune = state.range(0) != 0;
   std::size_t i = 0;
   for (auto _ : state) {
@@ -459,7 +463,6 @@ void BM_FastKMedianPlannerShaped(benchmark::State& state) {
   core::KMedianPlanner::PlanOptions options;
   options.k = 4;
   options.p = 2;
-  options.fast = true;
   std::size_t next = 0;
   std::size_t evaluations = 0;
   for (auto _ : state) {

@@ -103,7 +103,7 @@ int main() {
       }
       if (sources.size() < 4) continue;
       const std::size_t k = 2 + rng.next_below(3);
-      const auto approx = planner.plan(sources, k, p);
+      const auto approx = planner.plan_reference(sources, k, p);
       core::KMedianPlanner::PlanOptions fast_options;
       fast_options.k = k;
       fast_options.p = p;

@@ -234,20 +234,19 @@ std::vector<ScaleScenario> make_scale_scenarios() {
   ft.pods = 24;
   scenarios.push_back({"fat_tree_k24", topo::build_fat_tree(ft), 6});
   // Sec. V-A centralized k-median reduction: the manage phase is the
-  // planner + Alg. 5 local search + matching, exercising the fast
-  // delta-evaluated solver against the naive per-round rebuild + scan.
+  // planner + Alg. 5 local search + matching (the delta-evaluated solver).
   ft.pods = 16;
   scenarios.push_back(
       {"fat_tree_k16_kmedian", topo::build_fat_tree(ft), 12, core::ManagerMode::kKMedian});
-  // Regional-sharding ablation on the largest fabric: every cache stays on
-  // in both legs; only the manage phase differs (legacy interleaved sweep
-  // vs 8 contiguous rack shards with the per-rack flow index and the
-  // ordered claim commit). The gated manage_ratio is therefore the
-  // algorithmic win of sharding alone, even on a single-core runner. The
-  // workload is shaped so congestion sits at the agg–core layer: one hot
-  // core/agg switch alerts dozens of racks at once, so the legacy sweep
-  // pays an O(flows) F-set scan plus a reroute pass per alerted shim,
-  // while the sharded commit coalesces the duplicate claims into one.
+  // Regional-sharding ablation on the largest fabric: besides the
+  // production leg (8 contiguous rack shards with the per-rack flow index
+  // and the ordered claim commit), bench_scale runs a legacy interleaved
+  // sweep leg; the reported manage ratio is the algorithmic win of
+  // sharding alone, even on a single-core runner. The workload is shaped
+  // so congestion sits at the agg–core layer: one hot core/agg switch
+  // alerts dozens of racks at once, so the legacy sweep pays an O(flows)
+  // F-set scan plus a reroute pass per alerted shim, while the sharded
+  // commit coalesces the duplicate claims into one.
   ScaleScenario k32;
   k32.name = "fat_tree_k32";
   ft.pods = 32;
@@ -273,23 +272,11 @@ std::vector<ScaleScenario> make_scale_scenarios() {
   return scenarios;
 }
 
-core::EngineConfig scale_engine_config(const ScaleScenario& scenario, bool optimized) {
+core::EngineConfig scale_engine_config(const ScaleScenario& scenario) {
   core::EngineConfig config;
   config.sheriff.cost.computing_cost = 100.0;  // Sec. VI-B settings
   config.mode = scenario.mode;
-  const bool caches = scenario.shard_ablation || optimized;
-  config.incremental_fair_share = caches;
-  config.route_cache = caches;
-  config.retain_cost_trees = caches;
-  config.partner_rooted_costs = caches;
-  config.shared_leaf_cost_trees = caches;
-  config.fast_kmedian = caches;
-  config.cost_surface = caches;
-  config.cost_pruning = caches;
-  if (scenario.shard_ablation) {
-    config.sharded_manage = optimized;
-    config.manage_shards = scenario.manage_shards;
-  }
+  if (scenario.shard_ablation) config.manage_shards = scenario.manage_shards;
   config.flow_demand_scale_gbps = scenario.flow_demand_scale_gbps;
   config.sheriff.reroute_fraction = scenario.reroute_fraction;
   config.sheriff.max_matching_rounds = scenario.max_matching_rounds;

@@ -66,16 +66,17 @@ ManagerComparison compare_managers(const topo::Topology& topology, double alert_
 wl::DeploymentOptions bench_deployment_options(std::uint64_t seed);
 
 /// One evaluation scenario of the per-round hot-path bench, shared by
-/// bench_scale (naive vs optimized engine) and bench_fleet (the same five
-/// fabrics swept across seeds by the fleet runner).
+/// bench_scale (the production engine against a calibrated budget) and
+/// bench_fleet (the same five fabrics swept across seeds by the fleet
+/// runner).
 struct ScaleScenario {
   std::string name;
   topo::Topology topology;
   std::size_t rounds = 0;
   core::ManagerMode mode = core::ManagerMode::kSheriff;
-  /// Sharded-manage ablation: both bench_scale legs run with every cache
-  /// on, and only the manage phase differs — naive = the legacy
-  /// interleaved select() sweep, optimized = regional shards.
+  /// Sharded-manage ablation: bench_scale also runs this scenario with the
+  /// legacy interleaved select() sweep (sharded_manage off) and reports
+  /// the manage-phase ratio of the two legs.
   bool shard_ablation = false;
   std::size_t manage_shards = 8;
   wl::DeploymentOptions deploy = bench_deployment_options(2015);
@@ -89,9 +90,8 @@ struct ScaleScenario {
 /// k-median reduction, and BCube(4,2)) with their Sec. VI-B shaping.
 std::vector<ScaleScenario> make_scale_scenarios();
 
-/// The engine configuration of a scale scenario's `optimized` (every cache
-/// on) or `naive` (pre-optimization recompute-everything) leg.
-core::EngineConfig scale_engine_config(const ScaleScenario& scenario, bool optimized);
+/// The production engine configuration of a scale scenario.
+core::EngineConfig scale_engine_config(const ScaleScenario& scenario);
 
 /// The Fig. 11/12 sweep: Fat-Tree pod counts 8..48 with the Sec. VI-B link
 /// capacities (core-agg 10, agg-ToR 1).

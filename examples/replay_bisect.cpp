@@ -4,10 +4,9 @@
 //
 // The setup mimics the real debugging situation: a "golden" digest log
 // from a reference build, and a current build whose end state differs.
-// Here the two builds are emulated by the engine's two fair-share
-// implementations (incremental vs from-scratch waterfill — deterministic
-// individually, not bit-identical to each other), so the divergence is
-// genuine, not injected into the log by hand.
+// Here the two builds are emulated by two FLOWREROUTE splits
+// (reroute_fraction 0.5 vs 0.75 — each deterministic, not equal to each
+// other), so the divergence is genuine, not injected into the log by hand.
 //
 // The current run keeps only periodic in-memory checkpoints. To probe an
 // arbitrary round r, the bisection loads the nearest checkpoint at or

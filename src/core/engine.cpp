@@ -30,24 +30,18 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
       queues_(topo),
       solver_(topo),
       cost_model_(topo, deployment_, config.sheriff.cost) {
-  router_.set_cache_enabled(config_.route_cache);
   solver_.set_thread_pool(&worker_pool());
-  cost_model_.set_tree_cache_retained(config_.retain_cost_trees);
   cost_model_.set_partner_rooted(config_.partner_rooted_costs);
   cost_model_.set_shared_leaf_trees(config_.shared_leaf_cost_trees);
-  cost_model_.set_surface_enabled(config_.cost_surface);
-  cost_model_.set_pruning_enabled(config_.cost_pruning);
-  if (config_.retain_cost_trees) {
-    // Startup, not round, time: the ToR-rooted distance rows (and their
-    // rack-prefix link memos) derive from the immutable pristine topology
-    // only, so build them all here — the first manage round's decision
-    // sweep then runs entirely against warm rows. Bit-identical to lazy
-    // construction; profiling showed the cold builds were ~75% of the
-    // first-round decision time on the k=24 fabric.
-    for (topo::RackId r = 0; r < topo.rack_count(); ++r) {
-      const topo::NodeId tor = topo.rack(r).tor;
-      if (tor != topo::kInvalidNode) (void)cost_model_.distance_tree(tor);
-    }
+  // Startup, not round, time: the ToR-rooted distance rows (and their
+  // rack-prefix link memos) derive from the immutable pristine topology
+  // only, so build them all here — the first manage round's decision
+  // sweep then runs entirely against warm rows. Bit-identical to lazy
+  // construction; profiling showed the cold builds were ~75% of the
+  // first-round decision time on the k=24 fabric.
+  for (topo::RackId r = 0; r < topo.rack_count(); ++r) {
+    const topo::NodeId tor = topo.rack(r).tor;
+    if (tor != topo::kInvalidNode) (void)cost_model_.distance_tree(tor);
   }
   // SHERIFF_FORCE_AUDIT=1 (the CI sanitizer job sets it) turns the
   // invariant auditor on in fail-fast mode for every engine, so the whole
@@ -105,18 +99,16 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
   }
   if (config_.mode == ManagerMode::kKMedian) {
     // The planner's ToR rows are computed once here and shared across
-    // rounds; fast_kmedian=false reproduces the naive per-round rebuild in
-    // run_round and solves with the reference scan. Either way the row
-    // sweep gets the worker pool: the rows do not depend on it. A fleet
-    // substrate can lend its pre-built maskless planner instead, but only
-    // inside the envelope where this engine would never mutate one: the
-    // fast path (no per-round rebuild()) on a pristine fabric (no
-    // liveness-driven refresh()). The borrowed rows are identical to the
-    // ones an owned build would produce — the row sweep is pool-size
-    // invariant and the mask-free graph is the same — so borrowed and
-    // owned engines are byte-identical (tests/test_fleet.cpp pins it).
-    const bool borrow = substrate.kmedian_planner != nullptr && config_.fast_kmedian &&
-                        config_.fault_plan == nullptr;
+    // rounds (a fault plan refreshes them when the liveness mask moves);
+    // the row sweep gets the worker pool: the rows do not depend on it. A
+    // fleet substrate can lend its pre-built maskless planner instead, but
+    // only inside the envelope where this engine would never mutate one: a
+    // pristine fabric (no liveness-driven refresh()). The borrowed rows are
+    // identical to the ones an owned build would produce — the row sweep
+    // is pool-size invariant and the mask-free graph is the same — so
+    // borrowed and owned engines are byte-identical (tests/test_fleet.cpp
+    // pins it).
+    const bool borrow = substrate.kmedian_planner != nullptr && config_.fault_plan == nullptr;
     if (borrow) {
       SHERIFF_REQUIRE(
           substrate.kmedian_planner->rack_distances().size() == topo.rack_count(),
@@ -135,7 +127,6 @@ DistributedEngine::DistributedEngine(const topo::Topology& topo,
     KMedianMigrationManager::Options manager_options;
     manager_options.destination_racks = config_.kmedian_destination_racks;
     manager_options.local_search_p = config_.kmedian_swap_p;
-    manager_options.fast_local_search = config_.fast_kmedian;
     manager_options.max_evaluations = config_.kmedian_max_evaluations;
     manager_options.liveness = injector_ != nullptr ? &injector_->liveness() : nullptr;
     kmedian_manager_ = std::make_unique<KMedianMigrationManager>(
@@ -332,20 +323,15 @@ RoundMetrics DistributedEngine::run_round() {
   // 2. Network state: fair share + queue/QCN update, then the end-host
   //    reaction point adjusts rate limits for the next period. The
   //    incremental solver re-waterfills only the components touched since
-  //    last round; the from-scratch call is the bench baseline.
+  //    last round.
   const topo::LivenessMask* liveness =
       injector_ != nullptr ? &injector_->liveness() : nullptr;
   const net::FairShareResult* shares_ptr;
   {
     PhaseTimer timer(profile_.fair_share_ns);
-    if (config_.incremental_fair_share) {
-      shares_ptr = &solver_.solve(flows_, liveness);
-      profile_.fair_share_build_ns = solver_.timings().build_ns;
-      profile_.fair_share_fill_ns = solver_.timings().fill_ns;
-    } else {
-      naive_shares_ = net::max_min_fair_share(*topo_, flows_, liveness);
-      shares_ptr = &naive_shares_;
-    }
+    shares_ptr = &solver_.solve(flows_, liveness);
+    profile_.fair_share_build_ns = solver_.timings().build_ns;
+    profile_.fair_share_fill_ns = solver_.timings().fill_ns;
   }
   const net::FairShareResult& shares = *shares_ptr;
   // Network-state invariants are checked here, while flows' paths and rate
@@ -357,7 +343,7 @@ RoundMetrics DistributedEngine::run_round() {
     inputs.deployment = &deployment_;
     inputs.flows = flows_;
     inputs.shares = shares_ptr;
-    inputs.solver = config_.incremental_fair_share ? &solver_ : nullptr;
+    inputs.solver = &solver_;
     inputs.liveness = liveness;
     hub_->auditor()->audit_network(inputs);
   }
@@ -610,16 +596,8 @@ RoundMetrics DistributedEngine::run_round() {
         PhaseTimer timer(profile_.manage_kmedian_ns);
         // Row upkeep mutates the planner, so it only applies to an owned
         // one. A borrowed (substrate) planner is maskless by contract —
-        // refresh() on it would be a no-op anyway — and rebuild() never
-        // borrows (the ctor falls back to an owned planner when
-        // fast_kmedian is off).
-        if (kmedian_planner_ != nullptr) {
-          if (config_.fast_kmedian) {
-            kmedian_planner_->refresh();
-          } else {
-            kmedian_planner_->rebuild();
-          }
-        }
+        // refresh() on it would be a no-op anyway.
+        if (kmedian_planner_ != nullptr) kmedian_planner_->refresh();
       }
       const KMedianMigrationManager::Stats& stats = kmedian_manager_->stats();
       const std::uint64_t kmedian_before = stats.kmedian_ns;
@@ -784,7 +762,7 @@ void DistributedEngine::publish_round(const RoundMetrics& metrics,
         .add(cost.surface_builds - published_cost_stats_.surface_builds);
     published_cost_stats_ = cost;
   }
-  if (config_.incremental_fair_share) solver_.publish_metrics(registry);
+  solver_.publish_metrics(registry);
   router_.publish_metrics(registry);
   queues_.publish_metrics(registry);
   if (injector_ != nullptr) injector_->publish_metrics(registry);
@@ -811,7 +789,9 @@ std::vector<RoundMetrics> DistributedEngine::run(std::size_t rounds) {
 namespace {
 // Section schema versions. Bump a section's version whenever its payload
 // layout changes; load_state rejects skew loudly via expect_section.
-constexpr std::uint32_t kMetaVersion = 2;
+// META v3 dropped v2's fair-share-mode fingerprint bool: the from-scratch
+// fair-share path it recorded no longer exists.
+constexpr std::uint32_t kMetaVersion = 3;
 constexpr std::uint32_t kDeploymentVersion = 1;
 constexpr std::uint32_t kFlowVersion = 1;
 constexpr std::uint32_t kFaultVersion = 1;
@@ -859,12 +839,9 @@ void DistributedEngine::save_state(snapshot::Writer& writer) const {
   writer.put_u8(static_cast<std::uint8_t>(config_.mode));
   writer.put_u8(static_cast<std::uint8_t>(config_.protocol));
   writer.put_u8(static_cast<std::uint8_t>(config_.predictor));
-  writer.put_bool(config_.incremental_fair_share);
   // sharded_manage is semantics-bearing (legacy interleaved sweep vs
   // two-phase commit), so it fingerprints; manage_shards does not — the
   // shard count never changes results, exactly like the pool size.
-  // cost_surface / cost_pruning are results-identical accelerations
-  // (bitwise-equal selections and traces) and are likewise excluded.
   writer.put_bool(config_.sharded_manage);
   writer.put_bool(injector_ != nullptr);
   writer.put_bool(channel_ != nullptr);
@@ -1020,7 +997,6 @@ void DistributedEngine::load_state(snapshot::Reader& reader) {
   check_load(reader.get_u8() == static_cast<std::uint8_t>(config_.mode) &&
                       reader.get_u8() == static_cast<std::uint8_t>(config_.protocol) &&
                       reader.get_u8() == static_cast<std::uint8_t>(config_.predictor) &&
-                      reader.get_bool() == config_.incremental_fair_share &&
                       reader.get_bool() == config_.sharded_manage,
                   "checkpoint was taken under a different engine configuration");
   check_load(reader.get_bool() == (injector_ != nullptr) &&

@@ -78,20 +78,14 @@ struct EngineConfig {
   PredictorKind predictor = PredictorKind::kHolt;
   double flow_demand_scale_gbps = 0.4;  ///< demand per dependency edge at TRF=1
   bool qcn_rate_control = true;         ///< end-host reaction to QCN feedback (Sec. III-A.2)
-  // --- per-round hot-path switches (all on by default; turning one off
-  //     reproduces the naive recompute-everything behavior, the bench
-  //     baseline). The caching switches never change results; the two
-  //     cost-rooting switches pick equal-cost trees whose FP summation
-  //     order / path tie-breaks may differ, so each mode is deterministic
-  //     but the modes are not bit-identical to each other. Parallelism is
-  //     not a switch: the pool size alone decides it. -------------------
-  bool incremental_fair_share = true;  ///< stateful FairShareSolver vs from-scratch waterfill
-  bool route_cache = true;             ///< Router shortest-path-tree + resolved-path caches
-  /// Keep cost-model Dijkstra trees across rounds. On, the engine also
-  /// builds every ToR-rooted row at construction (they depend only on the
-  /// immutable pristine topology), so the first manage round's decision
-  /// sweep runs against warm rows; bit-identical to lazy construction.
-  bool retain_cost_trees = true;
+  // --- cost-model rooting modes. Each picks equal-cost trees whose FP
+  //     summation order / path tie-breaks may differ, so each mode is
+  //     deterministic but the modes are not bit-identical to each other.
+  //     Every other hot-path kernel (incremental fair share, router tree
+  //     and path caches, retained cost rows, the CostSurface decision
+  //     kernel with bound pruning, the fast k-median) is the only kernel
+  //     of its layer; parallelism is not a switch either — the pool size
+  //     alone decides it. ------------------------------------------------
   /// Dependency-span distances rooted at the partners instead of every
   /// candidate destination (one Dijkstra tree per partner, not per host).
   bool partner_rooted_costs = true;
@@ -99,21 +93,6 @@ struct EngineConfig {
   /// behind the host's one leaf edge): one tree per queried rack instead
   /// of one per queried host on fat-tree-like fabrics.
   bool shared_leaf_cost_trees = true;
-  /// kKMedian mode: delta-evaluated fast local search + liveness-gated
-  /// planner row reuse; off = reference solver + per-round planner rebuild.
-  bool fast_kmedian = true;
-  /// Per-round CostSurface: per-link bandwidth/utilization SoA snapshotted
-  /// once from the fair-share result + rack-keyed path-link memos, so
-  /// Eq. (1) evaluates as a flat array kernel. Bit-transparent (the flat
-  /// kernel replays the legacy FP ops in order), so like the caches it is
-  /// excluded from the checkpoint fingerprint.
-  bool cost_surface = true;
-  /// Bound-guarded candidate pruning in the matching sweeps: an exact,
-  /// admissible lower bound skips dominated (VM, destination) pairs
-  /// without ever changing the argmin (selections are bitwise identical
-  /// with it on or off — only the cost.evaluated/cost.pruned counter split
-  /// moves). Excluded from the checkpoint fingerprint.
-  bool cost_pruning = true;
   /// Regional sharding of the manage phase (kSheriff mode, DESIGN.md §11):
   /// shims are grouped into deterministic contiguous rack shards, each
   /// shard's alert dispatch + reroute/migration planning runs as one
@@ -122,7 +101,7 @@ struct EngineConfig {
   /// (duplicate reroute claims on one switch resolve to the lowest shim
   /// id; the rest count as RoundMetrics::shard_conflicts). Results are
   /// byte-identical for ANY shard count — tests pin 1/2/8. false = the
-  /// legacy interleaved serial sweep (the bench_scale baseline).
+  /// legacy interleaved serial sweep (bench_scale's k32 ablation leg).
   bool sharded_manage = true;
   /// Shard count for the sharded manage phase; 0 = auto (min(8, racks)).
   /// Clamped to [1, rack_count]. Like the pool size, this never changes
@@ -150,7 +129,9 @@ struct EngineConfig {
   const fault::FaultPlan* fault_plan = nullptr;
   // --- observability (src/obs/): all off by default. With everything off
   //     the engine owns no ObservationHub and the per-round hot path takes
-  //     a handful of null checks — bench_scale bounds the overhead at 3%.
+  //     a handful of null checks. perfbench's traced mode reports what
+  //     observe + audit cost as `trace.overhead_pct` (≈10% on reroute_k32;
+  //     perfbench/README.md).
   bool observe = false;  ///< own an ObservationHub (event trace + metric registry)
   bool audit = false;    ///< run the InvariantAuditor each round (implies observe)
   bool audit_fail_fast = false;       ///< first violation throws RequirementError
@@ -203,9 +184,8 @@ struct PhaseProfile {
   std::uint64_t fault_ns = 0;       ///< fault events + liveness propagation
   std::uint64_t workload_ns = 0;    ///< trace advance + demand updates + routing
   std::uint64_t fair_share_ns = 0;  ///< max–min allocation
-  /// Incremental-solver sub-phases of fair_share_ns (zero on the naive
-  /// from-scratch path): dirty detection + CSR/component upkeep vs the
-  /// water-filling kernel proper.
+  /// Incremental-solver sub-phases of fair_share_ns: dirty detection +
+  /// CSR/component upkeep vs the water-filling kernel proper.
   std::uint64_t fair_share_build_ns = 0;
   std::uint64_t fair_share_fill_ns = 0;
   std::uint64_t queue_ns = 0;       ///< switch queues + QCN rate control
@@ -256,8 +236,8 @@ struct EngineSubstrate {
   /// distance rows every borrowing engine reuses instead of running its
   /// own O(racks) Dijkstra sweep (kKMedian mode only; ignored otherwise).
   /// Borrowed only when the engine would never mutate the planner — i.e.
-  /// fast_kmedian is on (no per-round rebuild()) and no fault plan is
-  /// bound (no liveness-driven refresh()); engines outside that envelope
+  /// no fault plan is bound (no liveness-driven refresh()); engines
+  /// outside that envelope
   /// silently build their own planner, so a substrate is always safe to
   /// pass. plan() is const and data-race free, so concurrent fleet runs
   /// may share one planner.
@@ -366,7 +346,6 @@ class DistributedEngine {
   net::FlowRerouter rerouter_;
   net::SwitchQueues queues_;
   net::FairShareSolver solver_;
-  net::FairShareResult naive_shares_;  ///< scratch when incremental_fair_share is off
   net::QcnRateController rate_controller_;
   mig::MigrationCostModel cost_model_;
   std::vector<ShimController> shims_;

@@ -14,6 +14,19 @@
 
 namespace sheriff::core {
 
+namespace {
+
+KMedianPlan to_plan(const graph::KMedianSolution& solution) {
+  KMedianPlan out;
+  out.destinations.assign(solution.medians.begin(), solution.medians.end());
+  out.connection_cost = solution.cost;
+  out.evaluations = solution.evaluations;
+  out.hit_evaluation_cap = solution.hit_evaluation_cap;
+  return out;
+}
+
+}  // namespace
+
 KMedianPlanner::KMedianPlanner(const topo::Topology& topo, bool use_floyd_warshall)
     : KMedianPlanner(topo, KMedianPlannerOptions{use_floyd_warshall, nullptr, nullptr}) {}
 
@@ -113,40 +126,19 @@ KMedianPlan KMedianPlanner::plan(const std::vector<topo::RackId>& source_racks,
                                  const PlanOptions& options) const {
   auto instance = make_instance(source_racks, options.k);
   instance.max_evaluations = options.max_evaluations;
-  graph::KMedianSolution solution;
-  if (options.fast) {
-    graph::FastKMedianOptions fast;
-    fast.p = options.p;
-    solution = graph::fast_kmedian(instance, fast);
-  } else {
-    solution = graph::local_search_kmedian(instance, options.p);
-  }
-  KMedianPlan out;
-  out.destinations.assign(solution.medians.begin(), solution.medians.end());
-  out.connection_cost = solution.cost;
-  out.evaluations = solution.evaluations;
-  out.hit_evaluation_cap = solution.hit_evaluation_cap;
-  return out;
+  graph::FastKMedianOptions fast;
+  fast.p = options.p;
+  return to_plan(graph::fast_kmedian(instance, fast));
 }
 
-KMedianPlan KMedianPlanner::plan(const std::vector<topo::RackId>& source_racks, std::size_t k,
-                                 std::size_t p) const {
-  PlanOptions options;
-  options.k = k;
-  options.p = p;
-  options.fast = false;
-  return plan(source_racks, options);
+KMedianPlan KMedianPlanner::plan_reference(const std::vector<topo::RackId>& source_racks,
+                                           std::size_t k, std::size_t p) const {
+  return to_plan(graph::local_search_kmedian(make_instance(source_racks, k), p));
 }
 
 KMedianPlan KMedianPlanner::plan_exact(const std::vector<topo::RackId>& source_racks,
                                        std::size_t k) const {
-  const auto instance = make_instance(source_racks, k);
-  const auto solution = graph::exhaustive_kmedian(instance);
-  KMedianPlan out;
-  out.destinations.assign(solution.medians.begin(), solution.medians.end());
-  out.connection_cost = solution.cost;
-  out.evaluations = solution.evaluations;
-  return out;
+  return to_plan(graph::exhaustive_kmedian(make_instance(source_racks, k)));
 }
 
 KMedianMigrationManager::KMedianMigrationManager(wl::Deployment& deployment,
@@ -199,7 +191,6 @@ MigrationPlan KMedianMigrationManager::migrate(std::vector<wl::VmId> alerted) {
   KMedianPlanner::PlanOptions plan_options;
   plan_options.k = std::min(options_.destination_racks, planner_->facility_racks().size());
   plan_options.p = options_.local_search_p;
-  plan_options.fast = options_.fast_local_search;
   plan_options.max_evaluations = options_.max_evaluations;
   KMedianPlan selection;
   {

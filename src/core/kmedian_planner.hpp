@@ -85,10 +85,6 @@ class KMedianPlanner {
   /// without a mask never rebuild (the topology is immutable).
   bool refresh();
 
-  /// Unconditionally recomputes the ToR rows (the naive per-round behavior
-  /// the engine's fast_kmedian=false path reproduces for benchmarking).
-  void rebuild();
-
   /// Times the distance rows were (re)built, the initial build included.
   [[nodiscard]] std::size_t rebuilds() const noexcept { return rebuilds_; }
 
@@ -96,19 +92,19 @@ class KMedianPlanner {
   struct PlanOptions {
     std::size_t k = 1;                  ///< destination racks to open
     std::size_t p = 2;                  ///< Alg. 5 swap size
-    /// Delta-evaluated solver (first-improvement: identical medians to the
-    /// reference scan); false = the reference local_search_kmedian.
-    bool fast = true;
     std::size_t max_evaluations = 0;    ///< safety cap (0 = unlimited)
   };
 
-  /// Chooses destination racks for the given alerting source racks.
+  /// Chooses destination racks for the given alerting source racks with
+  /// the delta-evaluated Alg. 5 solver (graph::fast_kmedian:
+  /// first-improvement, identical medians to the reference scan).
   [[nodiscard]] KMedianPlan plan(const std::vector<topo::RackId>& source_racks,
                                  const PlanOptions& options) const;
 
-  /// Reference-solver shorthand (kept for the ratio experiments/tests).
-  [[nodiscard]] KMedianPlan plan(const std::vector<topo::RackId>& source_racks, std::size_t k,
-                                 std::size_t p) const;
+  /// The same plan from the reference scan (graph::local_search_kmedian):
+  /// the oracle of the Sec. VI-C ratio bench and the tests.
+  [[nodiscard]] KMedianPlan plan_reference(const std::vector<topo::RackId>& source_racks,
+                                           std::size_t k, std::size_t p) const;
 
   /// Exhaustive optimum for ratio experiments (small instances only).
   [[nodiscard]] KMedianPlan plan_exact(const std::vector<topo::RackId>& source_racks,
@@ -117,6 +113,8 @@ class KMedianPlanner {
  private:
   [[nodiscard]] graph::KMedianInstance make_instance(
       const std::vector<topo::RackId>& source_racks, std::size_t k) const;
+  /// Unconditionally recomputes the ToR rows.
+  void rebuild();
 
   const topo::Topology* topo_;
   KMedianPlannerOptions options_;
@@ -145,9 +143,6 @@ class KMedianMigrationManager {
   struct Options {
     std::size_t destination_racks = 4;  ///< k medians to open
     std::size_t local_search_p = 2;     ///< Alg. 5 swap size
-    /// Delta-evaluated fast solver (same medians as the reference scan —
-    /// first-improvement trajectory parity); false = reference solver.
-    bool fast_local_search = true;
     std::size_t max_evaluations = 0;    ///< k-median safety cap (0 = unlimited)
     /// When set, detached hosts (dead, or cut off behind a dead ToR) are
     /// excluded from the migration targets. Must outlive the manager.

@@ -106,9 +106,8 @@ std::vector<ProposedMove> propose_matching(const wl::Deployment& deployment,
   // Matching handles at most |open| VMs per pass (rows <= cols); the rest
   // waits for the next pass, like the paper's while-loop.
   const std::size_t batch = std::min(candidates.size(), open.size());
-  const bool prune = cost_model.pruning_enabled();
 
-  if (prune && batch == 1) {
+  if (batch == 1) {
     // Bound-guarded argmin scan. A 1-row assignment reduces to a strict-<
     // first-index argmin over the columns (both the Hungarian and the
     // brute-force branch of solve_assignment scan ascending with strict <,
@@ -150,7 +149,7 @@ std::vector<ProposedMove> propose_matching(const wl::Deployment& deployment,
       // (a multi-row Hungarian may pick any equal-cost optimum), but an
       // entry that is *provably infinite* would never be set either way —
       // skipping its evaluation leaves the matrix bit-identical.
-      if (prune && cost_model.provably_infeasible(candidates[r], open[c])) {
+      if (cost_model.provably_infeasible(candidates[r], open[c])) {
         cost_model.note_pruned();
         continue;
       }

@@ -13,7 +13,8 @@ MigrationCostModel::MigrationCostModel(const topo::Topology& topo,
       deployment_(&deployment),
       params_(params),
       distance_graph_(topo.wired_graph(topo::EdgeWeight::kDistance)),
-      surface_(topo),
+      idle_surface_(topo),
+      loaded_surface_(topo),
       rows_(topo.node_count()) {
   SHERIFF_REQUIRE(params.computing_cost >= 0.0, "C_r must be non-negative");
   SHERIFF_REQUIRE(params.request_gbps > 0.0, "requested bandwidth must be positive");
@@ -45,6 +46,8 @@ MigrationCostModel::MigrationCostModel(const topo::Topology& topo,
       break;
     }
   }
+  idle_surface_.build(nullptr, params_.management_reserve_fraction, params_.request_gbps,
+                      params_.bandwidth_threshold_gbps);
 }
 
 MigrationCostModel::~MigrationCostModel() { clear_rows(); }
@@ -57,39 +60,17 @@ void MigrationCostModel::clear_rows() const {
 
 void MigrationCostModel::set_bandwidth_state(const net::FairShareResult* shares) {
   shares_ = shares;
-  if (!retain_trees_) clear_rows();
-  if (surface_enabled_ && shares != nullptr) {
-    surface_.build(shares, params_.management_reserve_fraction, params_.request_gbps,
-                   params_.bandwidth_threshold_gbps);
-    surface_builds_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    surface_.clear();
+  // The idle snapshot depends on the immutable link capacities only: the
+  // constructor builds it once, and the engine's end-of-round reset to
+  // idle just switches back to it.
+  if (shares == nullptr) {
+    surface_ = &idle_surface_;
+    return;
   }
-}
-
-void MigrationCostModel::begin_round() {
-  if (!retain_trees_) clear_rows();
-}
-
-void MigrationCostModel::set_tree_cache_retained(bool retain) {
-  retain_trees_ = retain;
-  if (!retain) clear_rows();
-}
-
-void MigrationCostModel::set_surface_enabled(bool enabled) {
-  if (surface_enabled_ == enabled) return;
-  surface_enabled_ = enabled;
-  // Rack-keyed link memos exist only in surface mode; drop the rows so
-  // they rebuild in the right shape (serial-only toggle, like the other
-  // mode switches).
-  clear_rows();
-  if (enabled && shares_ != nullptr) {
-    surface_.build(shares_, params_.management_reserve_fraction, params_.request_gbps,
-                   params_.bandwidth_threshold_gbps);
-    surface_builds_.fetch_add(1, std::memory_order_relaxed);
-  } else if (!enabled) {
-    surface_.clear();
-  }
+  loaded_surface_.build(shares, params_.management_reserve_fraction, params_.request_gbps,
+                        params_.bandwidth_threshold_gbps);
+  surface_ = &loaded_surface_;
+  surface_builds_.fetch_add(1, std::memory_order_relaxed);
 }
 
 CostModelStats MigrationCostModel::stats() const noexcept {
@@ -103,27 +84,25 @@ CostModelStats MigrationCostModel::stats() const noexcept {
 MigrationCostModel::Row* MigrationCostModel::build_row(topo::NodeId root) const {
   auto* row = new Row;
   row->tree = graph::dijkstra(distance_graph_, root);
-  if (surface_enabled_) {
-    // Destination-rack memo: the root→ToR link sequence along the tree's
-    // deterministic path, shared by every shim querying this root within
-    // (and across) rounds. link_between runs once per (root, rack) instead
-    // of once per (candidate, hop).
-    const std::size_t racks = topo_->rack_count();
-    row->rack_links.resize(racks);
-    row->rack_ok.assign(racks, 0);
-    for (topo::RackId r = 0; r < racks; ++r) {
-      const topo::NodeId tor = topo_->rack(r).tor;
-      if (tor == topo::kInvalidNode) continue;
-      if (row->tree.distance[tor] == graph::kInfiniteDistance) continue;
-      const auto path = row->tree.path_to(tor);
-      if (path.empty()) continue;
-      auto& links = row->rack_links[r];
-      links.reserve(path.size() - 1);
-      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-        links.push_back(topo_->link_between(path[i], path[i + 1]));
-      }
-      row->rack_ok[r] = 1;
+  // Destination-rack memo: the root→ToR link sequence along the tree's
+  // deterministic path, shared by every shim querying this root within
+  // (and across) rounds. link_between runs once per (root, rack) instead
+  // of once per (candidate, hop).
+  const std::size_t racks = topo_->rack_count();
+  row->rack_links.resize(racks);
+  row->rack_ok.assign(racks, 0);
+  for (topo::RackId r = 0; r < racks; ++r) {
+    const topo::NodeId tor = topo_->rack(r).tor;
+    if (tor == topo::kInvalidNode) continue;
+    if (row->tree.distance[tor] == graph::kInfiniteDistance) continue;
+    const auto path = row->tree.path_to(tor);
+    if (path.empty()) continue;
+    auto& links = row->rack_links[r];
+    links.reserve(path.size() - 1);
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      links.push_back(topo_->link_between(path[i], path[i + 1]));
     }
+    row->rack_ok[r] = 1;
   }
   return row;
 }
@@ -213,10 +192,10 @@ double MigrationCostModel::dependency_cost(wl::VmId vm_id, topo::NodeId vm_host,
 void MigrationCostModel::surface_transmission(const wl::VirtualMachine& vm,
                                               topo::NodeId destination,
                                               CostBreakdown& breakdown) const {
-  // Replays the legacy per-link loop — same links, same order, same FP
-  // expressions — against the SoA snapshot, so the result is bit-identical
-  // to the surface-off evaluation. An infeasible link aborts with the
-  // partial sum discarded, exactly as the legacy early return did.
+  // Walks the links of shortest_path(src, destination) in order against
+  // the SoA snapshot, with the per-link Eq. (1) walk's FP expressions, so
+  // the result is bit-identical to that walk. An infeasible link aborts
+  // with the partial sum discarded.
   const topo::NodeId src = vm.host;
   if (src == destination) return;  // one-node path: infeasible, as before
   const double cap = static_cast<double>(vm.capacity);
@@ -224,27 +203,27 @@ void MigrationCostModel::surface_transmission(const wl::VirtualMachine& vm,
   const double eta = params_.eta;
   double transmission = 0.0;
   if (shared_leaf_trees_ && single_homed_[src] != 0) {
-    // Legacy path shape: [src] + tor_tree.path_to(dst). First link is the
+    // Path shape: [src] + tor_tree.path_to(dst). First link is the
     // leaf edge; the middle is the memoized root→ToR sequence when the
     // destination hangs single-homed off its rack's ToR (every fat-tree
     // host); otherwise walk the same deterministic tree path live.
     const topo::NodeId root = leaf_tor_[src];
-    if (!surface_.step(leaf_link_[src], cap, delta, eta, transmission)) return;
+    if (!surface_->step(leaf_link_[src], cap, delta, eta, transmission)) return;
     if (destination != root) {
       const Row& row = row_for(root);
       if (rack_leaf_[destination] != 0) {
         const topo::RackId rack = topo_->node(destination).rack;
         if (row.rack_ok[rack] == 0) return;  // unreachable
         for (const topo::LinkId l : row.rack_links[rack]) {
-          if (!surface_.step(l, cap, delta, eta, transmission)) return;
+          if (!surface_->step(l, cap, delta, eta, transmission)) return;
         }
-        if (!surface_.step(leaf_link_[destination], cap, delta, eta, transmission)) return;
+        if (!surface_->step(leaf_link_[destination], cap, delta, eta, transmission)) return;
       } else {
         const auto path = row.tree.path_to(destination);
         if (path.empty()) return;  // unreachable
         for (std::size_t i = 0; i + 1 < path.size(); ++i) {
           const topo::LinkId l = topo_->link_between(path[i], path[i + 1]);
-          if (!surface_.step(l, cap, delta, eta, transmission)) return;
+          if (!surface_->step(l, cap, delta, eta, transmission)) return;
         }
       }
     }
@@ -253,35 +232,8 @@ void MigrationCostModel::surface_transmission(const wl::VirtualMachine& vm,
     if (path.size() < 2) return;  // unreachable
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       const topo::LinkId l = topo_->link_between(path[i], path[i + 1]);
-      if (!surface_.step(l, cap, delta, eta, transmission)) return;
+      if (!surface_->step(l, cap, delta, eta, transmission)) return;
     }
-  }
-  breakdown.transmission = transmission;
-  breakdown.feasible = true;
-}
-
-void MigrationCostModel::legacy_transmission(const wl::VirtualMachine& vm,
-                                             topo::NodeId destination,
-                                             CostBreakdown& breakdown) const {
-  // Transmission cost over the shortest distance path source → destination.
-  const auto path = shortest_path(vm.host, destination);
-  if (path.size() < 2) return;  // unreachable: infeasible
-  double transmission = 0.0;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const topo::LinkId link = topo_->link_between(path[i], path[i + 1]);
-    const double capacity = topo_->link(link).capacity_gbps;
-    double available = capacity;
-    if (shares_ != nullptr) {
-      available = std::max(shares_->available_bandwidth(*topo_, link),
-                           params_.management_reserve_fraction * capacity);
-    }
-    // B(e): the smaller of available and requested bandwidth, which must
-    // clear the threshold B_t for the link to be usable.
-    const double b = std::min(available, params_.request_gbps);
-    if (b <= params_.bandwidth_threshold_gbps) return;  // infeasible
-    const double t = static_cast<double>(vm.capacity) / b;  // T(e)
-    const double p = b / capacity;                          // P(e)
-    transmission += params_.delta * t + params_.eta * p;
   }
   breakdown.transmission = transmission;
   breakdown.feasible = true;
@@ -295,12 +247,7 @@ CostBreakdown MigrationCostModel::cost(wl::VmId vm_id, topo::NodeId destination)
   CostBreakdown breakdown;
   breakdown.computing = params_.computing_cost;
   breakdown.dependency = dependency_cost(vm_id, vm.host, destination);
-
-  if (surface_enabled_ && surface_.ready()) {
-    surface_transmission(vm, destination, breakdown);
-  } else {
-    legacy_transmission(vm, destination, breakdown);
-  }
+  surface_transmission(vm, destination, breakdown);
   return breakdown;
 }
 
@@ -309,11 +256,7 @@ double MigrationCostModel::total_cost_with_base(wl::VmId vm_id, topo::NodeId des
   evaluated_.fetch_add(1, std::memory_order_relaxed);
   const wl::VirtualMachine& vm = deployment_->vm(vm_id);
   CostBreakdown breakdown;
-  if (surface_enabled_ && surface_.ready()) {
-    surface_transmission(vm, destination, breakdown);
-  } else {
-    legacy_transmission(vm, destination, breakdown);
-  }
+  surface_transmission(vm, destination, breakdown);
   // total() folds (computing + dependency) + transmission left-to-right
   // and `base` is that exact inner sum, so this is bitwise total_cost().
   return breakdown.feasible ? base + breakdown.transmission
@@ -328,8 +271,7 @@ double MigrationCostModel::candidate_lower_bound(wl::VmId vm_id, topo::NodeId de
   // expression cost()/total() use, so base == total − transmission exactly.
   const double base = params_.computing_cost + dependency_cost(vm_id, vm.host, destination);
   if (base_out != nullptr) *base_out = base;
-  if (!(surface_enabled_ && surface_.ready())) return base;
-  if (!surface_.host_usable(vm.host) || !surface_.host_usable(destination)) {
+  if (!surface_->host_usable(vm.host) || !surface_->host_usable(destination)) {
     return std::numeric_limits<double>::infinity();
   }
   // With no host—host link, src != dst guarantees every path has >= 2
@@ -339,17 +281,16 @@ double MigrationCostModel::candidate_lower_bound(wl::VmId vm_id, topo::NodeId de
   // fl(min_src + min_dst), hence fl(base + S_n) >= fl(base + fl(...)).
   if (hosts_adjacent_) return base;
   const double cap = static_cast<double>(vm.capacity);
-  const double src_term = surface_.min_incident_term(vm.host, cap, params_.delta, params_.eta);
+  const double src_term = surface_->min_incident_term(vm.host, cap, params_.delta, params_.eta);
   const double dst_term =
-      surface_.min_incident_term(destination, cap, params_.delta, params_.eta);
+      surface_->min_incident_term(destination, cap, params_.delta, params_.eta);
   return base + (src_term + dst_term);
 }
 
 bool MigrationCostModel::provably_infeasible(wl::VmId vm_id, topo::NodeId destination) const {
   const wl::VirtualMachine& vm = deployment_->vm(vm_id);
   if (destination == vm.host) return true;  // one-node path never feasible
-  if (!(surface_enabled_ && surface_.ready())) return false;
-  return !surface_.host_usable(vm.host) || !surface_.host_usable(destination);
+  return !surface_->host_usable(vm.host) || !surface_->host_usable(destination);
 }
 
 double MigrationCostModel::path_bottleneck_bandwidth(wl::VmId vm,

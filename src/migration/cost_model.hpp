@@ -20,8 +20,11 @@
 // (one atomically published Row per root, replacing the historical
 // mutex + unordered_map), each Row carrying a destination-rack-keyed memo
 // of root→ToR link sequences; per-link bandwidth state is snapshotted once
-// per round into a CostSurface. Both are bit-transparent: every mode
-// produces the same CostBreakdown with the surface on or off.
+// per round into a CostSurface — idle links included, when no bandwidth
+// state is installed — and the transmission term is evaluated on it. The
+// surface kernel replays the per-link Eq. (1) walk's FP ops in order, so
+// it is bit-identical to that walk (the test-only sheriff_reference
+// library keeps the walk as the oracle).
 
 #include <atomic>
 #include <cstdint>
@@ -84,9 +87,10 @@ struct CostModelStats {
 
 /// Evaluates Eq. (1) for candidate moves on a fixed topology. Shortest
 /// (distance-weighted) trees are computed lazily per root and published
-/// into a lock-free row cache; call `begin_round()` when the network state
-/// changes. Concurrent cost()/total_cost() calls are safe (rows are
-/// immutable once published; a lost publication race discards the
+/// into a lock-free row cache that lives as long as the model: the trees
+/// are built on the immutable distance graph and never depend on
+/// bandwidth state. Concurrent cost()/total_cost() calls are safe (rows
+/// are immutable once published; a lost publication race discards the
 /// duplicate), which lets every shim evaluate its proposals in parallel.
 class MigrationCostModel {
  public:
@@ -98,21 +102,9 @@ class MigrationCostModel {
   MigrationCostModel& operator=(const MigrationCostModel&) = delete;
 
   /// Installs the current bandwidth state (link loads from the fair-share
-  /// allocator). Without it, links are treated as idle. With the surface
-  /// enabled this snapshots the per-link SoA arrays once for the round.
+  /// allocator) and snapshots the per-link SoA arrays once for the round.
+  /// nullptr means idle links (the state a fresh model starts in).
   void set_bandwidth_state(const net::FairShareResult* shares);
-
-  /// Invalidates the per-root row cache. With retention on (default) this
-  /// is a no-op: the trees are built on the immutable distance graph and
-  /// never depend on bandwidth state, so discarding them between rounds
-  /// only re-runs identical Dijkstras.
-  void begin_round();
-
-  /// Toggles tree retention across bandwidth-state changes. Disabling
-  /// reproduces the historical clear-every-round behavior (the bench
-  /// baseline); it never changes results, only how often trees rebuild.
-  void set_tree_cache_retained(bool retain);
-  [[nodiscard]] bool tree_cache_retained() const noexcept { return retain_trees_; }
 
   /// Roots the dependency-span Dijkstra trees at the VMs' *partners*
   /// instead of the candidate destination. Distances on the undirected
@@ -135,21 +127,6 @@ class MigrationCostModel {
   void set_shared_leaf_trees(bool shared) noexcept { shared_leaf_trees_ = shared; }
   [[nodiscard]] bool shared_leaf_trees() const noexcept { return shared_leaf_trees_; }
 
-  /// Toggles the per-round CostSurface (flat SoA link state + rack-keyed
-  /// link-sequence memos). Bit-transparent: the flat kernel replays the
-  /// legacy kernel's FP ops in the legacy order, so every CostBreakdown is
-  /// identical with the surface on or off. Serial-only toggle (clears the
-  /// row cache so memos are rebuilt in the right shape).
-  void set_surface_enabled(bool enabled);
-  [[nodiscard]] bool surface_enabled() const noexcept { return surface_enabled_; }
-
-  /// Toggles bound-guarded candidate pruning in propose_matching. The
-  /// bound is exact and admissible (see candidate_lower_bound), so the
-  /// selected moves are bitwise identical with pruning on or off; only the
-  /// evaluated/pruned counter split changes.
-  void set_pruning_enabled(bool enabled) noexcept { pruning_ = enabled; }
-  [[nodiscard]] bool pruning_enabled() const noexcept { return pruning_; }
-
   [[nodiscard]] CostModelStats stats() const noexcept;
 
   /// Cost of migrating `vm` from its current host to `destination`.
@@ -159,12 +136,11 @@ class MigrationCostModel {
   [[nodiscard]] double total_cost(wl::VmId vm, topo::NodeId destination) const;
 
   /// Admissible lower bound on total_cost(vm, destination): the exact
-  /// computing + dependency base (identical FP expression to cost()) plus,
-  /// when the surface is live, the cheapest transmission terms any path
-  /// must pay on its first link (incident to the source) and last link
-  /// (incident to the destination). Nonnegative left-folded partial sums
-  /// are monotone under rounding, so bound ≤ total_cost always — the
-  /// argmin can never be pruned away. +inf when the move is provably
+  /// computing + dependency base (identical FP expression to cost()) plus
+  /// the cheapest transmission terms any path must pay on its first link
+  /// (incident to the source) and last link (incident to the destination).
+  /// Nonnegative left-folded partial sums are monotone under rounding, so
+  /// bound ≤ total_cost always — the argmin can never be pruned away. +inf when the move is provably
   /// infeasible (then total_cost is +inf too). When `base_out` is given it
   /// receives the computing + dependency base, which the caller can hand
   /// back to total_cost_with_base so a surviving candidate never pays the
@@ -206,10 +182,16 @@ class MigrationCostModel {
   /// distance matrix so there is one source of truth for ToR distances.
   [[nodiscard]] const graph::ShortestPathTree& distance_tree(topo::NodeId root) const;
 
+  /// One shortest distance path `from` → `to` (empty when unreachable),
+  /// routed through the shared leaf tree when that mode is on: the path
+  /// whose links the transmission term of cost() walks.
+  [[nodiscard]] std::vector<topo::NodeId> shortest_path(topo::NodeId from,
+                                                        topo::NodeId to) const;
+
  private:
-  /// One root's cache line: the Dijkstra tree plus (surface mode only) the
-  /// destination-rack-keyed memo of root→ToR link sequences along the
-  /// tree's deterministic paths. Immutable once published into rows_.
+  /// One root's cache line: the Dijkstra tree plus the destination-rack-
+  /// keyed memo of root→ToR link sequences along the tree's deterministic
+  /// paths. Immutable once published into rows_.
   struct Row {
     graph::ShortestPathTree tree;
     std::vector<std::vector<topo::LinkId>> rack_links;
@@ -220,35 +202,27 @@ class MigrationCostModel {
   [[nodiscard]] Row* build_row(topo::NodeId root) const;
   void clear_rows() const;
   const graph::ShortestPathTree& tree_for(topo::NodeId source) const;
-  /// One shortest distance path `from` → `to` (empty when unreachable),
-  /// routed through the shared leaf tree when the mode is on.
-  [[nodiscard]] std::vector<topo::NodeId> shortest_path(topo::NodeId from,
-                                                        topo::NodeId to) const;
   /// Eq. (1)'s dependency term, shared verbatim between cost() and
   /// candidate_lower_bound() so their FP results are identical.
   [[nodiscard]] double dependency_cost(wl::VmId vm_id, topo::NodeId vm_host,
                                        topo::NodeId destination) const;
-  /// Surface-mode transmission kernel: fills breakdown.transmission and
-  /// .feasible replaying the legacy per-link loop on the SoA arrays.
+  /// Transmission kernel, shared by cost() and total_cost_with_base:
+  /// fills breakdown.transmission and .feasible by walking the path's
+  /// links on the surface's SoA arrays.
   void surface_transmission(const wl::VirtualMachine& vm, topo::NodeId destination,
                             CostBreakdown& breakdown) const;
-  /// Legacy transmission kernel (per-link walk against the fair-share
-  /// result), shared by cost() and total_cost_with_base.
-  void legacy_transmission(const wl::VirtualMachine& vm, topo::NodeId destination,
-                           CostBreakdown& breakdown) const;
 
   const topo::Topology* topo_;
   const wl::Deployment* deployment_;
   CostParams params_;
   graph::Graph distance_graph_;
   const net::FairShareResult* shares_ = nullptr;
-  bool retain_trees_ = true;
   bool partner_rooted_ = false;
   bool shared_leaf_trees_ = false;
-  bool surface_enabled_ = false;
-  bool pruning_ = false;
   bool hosts_adjacent_ = false;  ///< any host—host link (disables the 2-link bound)
-  CostSurface surface_;
+  CostSurface idle_surface_;    ///< no bandwidth state: built once at construction
+  CostSurface loaded_surface_;  ///< the installed fair-share result's snapshot
+  const CostSurface* surface_ = &idle_surface_;  ///< the one cost() reads
   // Static leaf tables (hosts with exactly one wired link).
   std::vector<std::uint8_t> single_homed_;  ///< per node: exactly one incident link
   std::vector<std::uint8_t> rack_leaf_;     ///< single-homed AND leaf peer == own rack's ToR
@@ -256,7 +230,7 @@ class MigrationCostModel {
   std::vector<topo::NodeId> leaf_tor_;      ///< the leaf peer (valid iff single_homed_)
   // Lock-free row cache: slot published once via CAS, then immutable; a
   // losing builder deletes its duplicate (rows are deterministic, so the
-  // winner's copy is identical). Cleared only at serial points.
+  // winner's copy is identical). Freed with the model.
   mutable std::vector<std::atomic<Row*>> rows_;
   // Evaluation counters (relaxed: monotone totals, read at serial points).
   mutable std::atomic<std::uint64_t> evaluated_{0};

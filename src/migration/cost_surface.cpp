@@ -36,7 +36,6 @@ void CostSurface::build(const net::FairShareResult* shares, double reserve_fract
       }
     }
   }
-  ready_ = true;
 }
 
 }  // namespace sheriff::mig

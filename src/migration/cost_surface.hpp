@@ -9,7 +9,8 @@
 // pair per path link. The surface snapshots B(e), P(e) and the B(e) > B_t
 // usability bit once per round into flat arrays indexed by LinkId, using
 // the *exact same floating-point expressions* the per-candidate kernel
-// used, so the flat kernel is bit-identical to the legacy one.
+// used, so the flat kernel is bit-identical to the per-link walk (kept as
+// the oracle in the test-only sheriff_reference library).
 
 #include <cstdint>
 #include <limits>
@@ -32,16 +33,13 @@ class CostSurface {
   void build(const net::FairShareResult* shares, double reserve_fraction,
              double request_gbps, double threshold_gbps);
 
-  void clear() noexcept { ready_ = false; }
-  [[nodiscard]] bool ready() const noexcept { return ready_; }
-
   [[nodiscard]] bool usable(topo::LinkId l) const noexcept { return usable_[l] != 0; }
   [[nodiscard]] double bandwidth(topo::LinkId l) const noexcept { return b_[l]; }
   [[nodiscard]] double utilization(topo::LinkId l) const noexcept { return p_[l]; }
 
   /// Accumulates link l's transmission term δ·T(e) + η·P(e) into
   /// `transmission`; false when the link is below B_t (path infeasible).
-  /// The expression matches the legacy per-candidate kernel op for op.
+  /// The expression matches the per-link Eq. (1) walk op for op.
   [[nodiscard]] bool step(topo::LinkId l, double vm_capacity, double delta, double eta,
                           double& transmission) const noexcept {
     if (usable_[l] == 0) return false;
@@ -75,7 +73,6 @@ class CostSurface {
   std::vector<double> p_;              ///< P(e) = B(e)/C(e) per link
   std::vector<std::uint8_t> usable_;   ///< B(e) > B_t per link
   std::vector<std::uint8_t> host_usable_;  ///< any usable incident link, per node
-  bool ready_ = false;
 };
 
 }  // namespace sheriff::mig

@@ -35,9 +35,8 @@ constexpr std::size_t kMaxPathCacheFlows = 1u << 20;
 /// through at most a handful of hot switches per flow.
 constexpr std::size_t kMaxBlockedEntriesPerFlow = 4;
 
-/// Walk back from dst, hashing over tight parents: ECMP. Hash depends on
-/// flow id and depth so consecutive flows take different spines. Returns
-/// false (path untouched) when dst is unreachable in the tree.
+}  // namespace
+
 bool walk_ecmp(const graph::ShortestPathTree& tree, Flow& flow, std::size_t node_count) {
   if (tree.distance[flow.dst_host] == graph::kInfiniteDistance) return false;
   std::vector<topo::NodeId> reverse_path{flow.dst_host};
@@ -54,6 +53,8 @@ bool walk_ecmp(const graph::ShortestPathTree& tree, Flow& flow, std::size_t node
   flow.path.assign(reverse_path.rbegin(), reverse_path.rend());
   return true;
 }
+
+namespace {
 
 /// walk_ecmp on a tree rooted at a single-homed source's sole neighbor
 /// `via` instead of the source itself. With unit hop weights every vertex
@@ -124,11 +125,6 @@ Router::LivenessDelta Router::refresh_liveness() {
   relabel_components();
   repair_caches(removed, added);
   return {true, removed_links_};
-}
-
-void Router::set_cache_enabled(bool enabled) {
-  cache_enabled_ = enabled;
-  clear_caches();
 }
 
 void Router::clear_caches() const {
@@ -294,7 +290,7 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
   // including the blocked probes FLOWREROUTE re-issues round over round,
   // and probes that found no path under the blocks — can return the
   // stored outcome outright. A hit is indistinguishable from a recompute.
-  const bool path_cacheable = cache_enabled_ && flow.id < kMaxPathCacheFlows;
+  const bool path_cacheable = flow.id < kMaxPathCacheFlows;
   std::vector<topo::NodeId> blocked_key(blocked.begin(), blocked.end());
   std::sort(blocked_key.begin(), blocked_key.end());
   if (path_cacheable) {
@@ -324,34 +320,24 @@ bool Router::route(Flow& flow, std::span<const topo::NodeId> blocked) const {
     ++cache_stats_.path_misses;
   }
 
+  // Single-homed sources (every fat-tree host) share their neighbor ToR's
+  // tree: the walk is bit-identical (see walk_ecmp_via) and the tree cache
+  // shrinks from one tree per querying host to one per ToR — the dominant
+  // Dijkstra load of the routing phase.
   bool ok;
-  if (cache_enabled_) {
-    // Single-homed sources (every fat-tree host) share their neighbor
-    // ToR's tree: the walk is bit-identical (see walk_ecmp_via) and the
-    // tree cache shrinks from one tree per querying host to one per ToR —
-    // the dominant Dijkstra load of the routing phase.
-    const auto leaf = hop_graph_.neighbors(flow.src_host);
-    if (leaf.size() == 1) {
-      const topo::NodeId via = leaf[0].to;
-      if (std::find(blocked.begin(), blocked.end(), via) != blocked.end()) {
-        ok = false;  // the source's only egress is blocked: no path exists
-      } else if (flow.dst_host == via) {
-        flow.path.assign({flow.src_host, via});
-        ok = true;
-      } else {
-        ok = walk_ecmp_via(tree_for(via, blocked), flow, via, topo_->node_count());
-      }
+  const auto leaf = hop_graph_.neighbors(flow.src_host);
+  if (leaf.size() == 1) {
+    const topo::NodeId via = leaf[0].to;
+    if (std::find(blocked.begin(), blocked.end(), via) != blocked.end()) {
+      ok = false;  // the source's only egress is blocked: no path exists
+    } else if (flow.dst_host == via) {
+      flow.path.assign({flow.src_host, via});
+      ok = true;
     } else {
-      ok = walk_ecmp(tree_for(flow.src_host, blocked), flow, topo_->node_count());
+      ok = walk_ecmp_via(tree_for(via, blocked), flow, via, topo_->node_count());
     }
   } else {
-    std::vector<bool> blocked_mask;
-    if (!blocked.empty()) {
-      blocked_mask.assign(topo_->node_count(), false);
-      for (topo::NodeId b : blocked) blocked_mask[b] = true;
-    }
-    const auto tree = graph::dijkstra(hop_graph_, flow.src_host, blocked_mask);
-    ok = walk_ecmp(tree, flow, topo_->node_count());
+    ok = walk_ecmp(tree_for(flow.src_host, blocked), flow, topo_->node_count());
   }
 
   if (path_cacheable) {
@@ -388,9 +374,7 @@ std::size_t Router::route_all(std::span<Flow> flows) const {
 }
 
 std::size_t Router::shortest_path_count(topo::NodeId src, topo::NodeId dst) const {
-  if (cache_enabled_) return tree_for(src, {}).path_count(dst);
-  const auto tree = graph::dijkstra(hop_graph_, src);
-  return tree.path_count(dst);
+  return tree_for(src, {}).path_count(dst);
 }
 
 void Router::publish_metrics(obs::MetricRegistry& registry) const {

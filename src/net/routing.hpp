@@ -23,10 +23,11 @@
 // every tree queried since the previous refresh in place
 // (graph::repair_tree, bit-identical to a fresh build), drops the others
 // and those whose root died (recycling their storage for later misses),
-// and invalidates the resolved paths in place. Only cache overflow,
-// set_cache_enabled and apply_liveness clear both caches wholesale.
-// Disable via set_cache_enabled to get the naive one-Dijkstra-per-query
-// behavior (the bench baseline).
+// and invalidates the resolved paths in place. Only cache overflow and
+// apply_liveness clear both caches wholesale. The caches are the only
+// routing kernel; the uncached one-Dijkstra-per-query route that tests
+// compare them against lives in the test-only sheriff_reference library,
+// built on walk_ecmp below.
 
 #include <cstdint>
 #include <memory>
@@ -51,10 +52,17 @@ struct RouterCacheStats {
   std::size_t tree_misses = 0;
   std::size_t path_hits = 0;
   std::size_t path_misses = 0;
-  std::size_t evictions = 0;  ///< wholesale clears (overflow, set_cache_enabled, apply_liveness)
+  std::size_t evictions = 0;  ///< wholesale clears (overflow, apply_liveness)
   std::size_t tree_repairs = 0;  ///< trees repaired across a liveness refresh
   std::size_t tree_drops = 0;    ///< trees dropped at a refresh (not queried since, or root died)
 };
+
+/// The ECMP walk every route takes: back from flow.dst_host over the
+/// tight parents of `tree` (rooted at flow.src_host), choosing among equal
+/// parents by a hash of the flow id and the depth, so consecutive flows
+/// take different spines. Fills flow.path and returns true; returns false
+/// (path untouched) when dst is unreachable in the tree.
+bool walk_ecmp(const graph::ShortestPathTree& tree, Flow& flow, std::size_t node_count);
 
 class Router {
  public:
@@ -93,10 +101,6 @@ class Router {
   /// Number of distinct shortest paths between two hosts (diagnostics).
   [[nodiscard]] std::size_t shortest_path_count(topo::NodeId src, topo::NodeId dst) const;
 
-  /// Toggles the tree/path caches (enabled by default); disabling clears
-  /// them, giving the naive recompute-every-query behavior.
-  void set_cache_enabled(bool enabled);
-  [[nodiscard]] bool cache_enabled() const noexcept { return cache_enabled_; }
   [[nodiscard]] const RouterCacheStats& cache_stats() const noexcept { return cache_stats_; }
 
   /// Publishes the cumulative cache stats as `router.*` gauges.
@@ -157,7 +161,6 @@ class Router {
     PathEntry plain;
     std::vector<PathEntry> blocked;
   };
-  bool cache_enabled_ = true;
   mutable std::mutex cache_mutex_;
   mutable std::unordered_map<topo::NodeId, std::vector<TreeSlot>> tree_cache_;
   mutable std::size_t tree_cache_entries_ = 0;

@@ -94,7 +94,7 @@ class InvariantAuditor {
     const wl::Deployment* deployment = nullptr;      ///< required
     std::span<const net::Flow> flows;
     const net::FairShareResult* shares = nullptr;    ///< required
-    const net::FairShareSolver* solver = nullptr;    ///< null = naive path
+    const net::FairShareSolver* solver = nullptr;    ///< null = skip check 6
     const topo::LivenessMask* liveness = nullptr;    ///< null = pristine
     std::span<const AuditedMove> moves;              ///< this round's migrations
   };

@@ -15,6 +15,10 @@
 // Concurrent emits take `seq` in scheduling order, though, and `seq` is
 // checkpointed, so the engine emits only from serial code: parallel
 // sweeps return their events and the engine emits them in shim order.
+// The trace enforces that: set_round binds the calling thread as the one
+// emitter, and emit from any other thread fails SHERIFF_REQUIRE. Before
+// the first set_round nothing is bound (the engine constructor's takeover
+// events come first), so any thread may emit.
 //
 // Rings are bounded: when a shim's ring is full the oldest record is
 // overwritten and `dropped()` counts it. Tracing therefore has a hard
@@ -23,7 +27,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
+
+#include "common/require.hpp"
 
 namespace sheriff::obs {
 
@@ -68,14 +75,22 @@ class EventTrace {
         rings_(shim_count + 1) {}
 
   /// Stamped onto subsequent records; call at the top of each round, while
-  /// no emitter is running.
-  void set_round(std::uint32_t round) noexcept { round_ = round; }
+  /// no emitter is running. Binds the calling thread as the trace's only
+  /// emitter until the next set_round.
+  void set_round(std::uint32_t round) noexcept {
+    round_ = round;
+    emitter_ = std::this_thread::get_id();
+  }
   [[nodiscard]] std::uint32_t round() const noexcept { return round_; }
 
   /// Appends one record to `shim`'s ring (kEngine for engine-level events).
-  /// Safe to call concurrently for *different* shims.
+  /// Only the thread bound by the last set_round may emit (any thread
+  /// before the first set_round): `seq` order must not depend on how a
+  /// parallel sweep was scheduled.
   void emit(std::uint32_t shim, EventType type, std::uint32_t a = 0, std::uint32_t b = 0,
             double value = 0.0) {
+    SHERIFF_REQUIRE(emitter_ == std::thread::id{} || emitter_ == std::this_thread::get_id(),
+                    "EventTrace::emit from a thread other than the one that called set_round");
     Ring& ring = rings_[shim == kEngine ? rings_.size() - 1 : shim];
     TraceRecord record;
     record.seq = seq_.fetch_add(1, std::memory_order_relaxed);
@@ -176,6 +191,7 @@ class EventTrace {
   std::vector<Ring> rings_;  ///< one per shim + one engine ring (last)
   std::atomic<std::uint64_t> seq_{0};
   std::uint32_t round_ = 0;
+  std::thread::id emitter_;  ///< bound by set_round; default id = unbound
 };
 
 }  // namespace sheriff::obs

@@ -1,10 +1,11 @@
 // The flattened migration decision kernel (DESIGN.md §14): the per-round
-// CostSurface must be bit-transparent (every CostBreakdown identical with
-// the surface on or off), the candidate lower bound must be admissible
-// (bound <= exact cost, always), and bound-guarded pruning must never
-// change a selection — locked by a 50-seed pruned-vs-exhaustive
-// differential on both reference fabrics plus engine-level CSV/checkpoint
-// byte parity across pool sizes, pristine and faulted. Also the
+// CostSurface must be bit-transparent (every CostBreakdown identical to
+// the reference per-link Eq. (1) walk, loaded and idle), the candidate
+// lower bound must be admissible (bound <= exact cost, always), and
+// bound-guarded pruning must never change a selection — locked by a
+// 50-seed pruned-vs-exhaustive differential on both reference fabrics plus
+// engine-level CSV/checkpoint byte parity across pool sizes, pristine and
+// faulted, against metrics goldens of the pre-surface kernel. Also the
 // update_flow_demands skip-write: a constant-demand round must leave the
 // incremental fair-share solver's flows untouched (reused_flows > 0).
 
@@ -24,10 +25,11 @@
 #include "core/metrics.hpp"
 #include "core/vm_migration.hpp"
 #include "fault/fault_plan.hpp"
+#include "golden.hpp"
 #include "migration/cost_model.hpp"
 #include "net/fair_share.hpp"
 #include "net/routing.hpp"
-#include "obs/hub.hpp"
+#include "reference.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
@@ -40,7 +42,7 @@ namespace mig = sheriff::mig;
 namespace net = sheriff::net;
 namespace fault = sheriff::fault;
 namespace sc = sheriff::common;
-namespace obs = sheriff::obs;
+namespace reference = sheriff::reference;
 
 namespace {
 
@@ -87,21 +89,18 @@ net::FairShareResult loaded_shares(const topo::Topology& topology,
   return net::max_min_fair_share(topology, flows);
 }
 
-/// A model in the engine's optimized shape (partner-rooted, shared-leaf)
-/// with the surface/pruning toggles under test.
-void configure_model(mig::MigrationCostModel& model, const net::FairShareResult* shares,
-                     bool surface, bool pruning) {
+/// A model in the engine's shape (partner-rooted, shared-leaf) with the
+/// given bandwidth state installed.
+void configure_model(mig::MigrationCostModel& model, const net::FairShareResult* shares) {
   model.set_partner_rooted(true);
   model.set_shared_leaf_trees(true);
-  model.set_surface_enabled(surface);
-  model.set_pruning_enabled(pruning);
   model.set_bandwidth_state(shares);
 }
 
 void expect_breakdown_bitwise_equal(const mig::CostBreakdown& a, const mig::CostBreakdown& b,
                                     wl::VmId vm, topo::NodeId dest) {
   // EXPECT_EQ on doubles is exact equality — the surface kernel replays
-  // the legacy FP ops in the legacy order, so no tolerance is owed.
+  // the per-link walk's FP ops in its order, so no tolerance is owed.
   EXPECT_EQ(a.feasible, b.feasible) << "vm=" << vm << " dest=" << dest;
   EXPECT_EQ(a.computing, b.computing) << "vm=" << vm << " dest=" << dest;
   EXPECT_EQ(a.dependency, b.dependency) << "vm=" << vm << " dest=" << dest;
@@ -114,34 +113,39 @@ void expect_surface_transparent(const topo::Topology& topology) {
   const net::FairShareResult shares = loaded_shares(topology, flows, 5);
   const auto hosts = topology.nodes_of_kind(topo::NodeKind::kHost);
 
-  // Both leaf-tree modes: shared (engine's optimized shape, rack-memo fast
-  // path) and per-host (the generic shortest_path branch).
+  // Both leaf-tree modes: shared (engine's shape, rack-memo fast path) and
+  // per-host (the generic shortest_path branch).
   for (const bool shared_leaf : {true, false}) {
-    mig::MigrationCostModel legacy(topology, deployment);
-    mig::MigrationCostModel surfaced(topology, deployment);
-    configure_model(legacy, &shares, false, false);
-    configure_model(surfaced, &shares, true, false);
-    legacy.set_shared_leaf_trees(shared_leaf);
-    surfaced.set_shared_leaf_trees(shared_leaf);
+    mig::MigrationCostModel model(topology, deployment);
+    configure_model(model, &shares);
+    model.set_shared_leaf_trees(shared_leaf);
 
     sc::Pcg32 rng(11);
+    std::size_t infeasible = 0;
     for (int i = 0; i < 500; ++i) {
       const auto vm = static_cast<wl::VmId>(rng.next_below(
           static_cast<std::uint32_t>(deployment.vm_count())));
       const topo::NodeId dest = rng.pick(hosts);
-      expect_breakdown_bitwise_equal(legacy.cost(vm, dest), surfaced.cost(vm, dest), vm, dest);
-      EXPECT_EQ(legacy.total_cost(vm, dest), surfaced.total_cost(vm, dest));
+      const mig::CostBreakdown legacy = reference::legacy_cost(model, deployment, &shares, vm, dest);
+      expect_breakdown_bitwise_equal(legacy, model.cost(vm, dest), vm, dest);
+      EXPECT_EQ(legacy.feasible ? legacy.total() : std::numeric_limits<double>::infinity(),
+                model.total_cost(vm, dest));
+      infeasible += legacy.feasible ? 0 : 1;
     }
-    // Idle-fabric corner: no bandwidth state installed -> the surface is
-    // cleared and both models run the legacy loop on idle links.
-    legacy.set_bandwidth_state(nullptr);
-    surfaced.set_bandwidth_state(nullptr);
+    // The oversubscribed fat tree and the own-host draws leave infeasible
+    // pairs, so the early-abort path is compared too.
+    EXPECT_GT(infeasible, 0u);
+    // Idle-fabric corner: with no bandwidth state installed the surface
+    // holds the idle snapshot, which must equal the walk on idle links.
+    model.set_bandwidth_state(nullptr);
     sc::Pcg32 rng2(12);
     for (int i = 0; i < 100; ++i) {
       const auto vm = static_cast<wl::VmId>(rng2.next_below(
           static_cast<std::uint32_t>(deployment.vm_count())));
       const topo::NodeId dest = rng2.pick(hosts);
-      expect_breakdown_bitwise_equal(legacy.cost(vm, dest), surfaced.cost(vm, dest), vm, dest);
+      expect_breakdown_bitwise_equal(
+          reference::legacy_cost(model, deployment, nullptr, vm, dest), model.cost(vm, dest), vm,
+          dest);
     }
   }
 }
@@ -167,7 +171,7 @@ TEST(CostSurface, LowerBoundIsAdmissibleOnRandomCandidatePairs) {
     std::vector<net::Flow> flows;
     const net::FairShareResult shares = loaded_shares(topology, flows, 7);
     mig::MigrationCostModel model(topology, deployment);
-    configure_model(model, &shares, true, true);
+    configure_model(model, &shares);
 
     const auto hosts = topology.nodes_of_kind(topo::NodeKind::kHost);
     sc::Pcg32 rng(13);
@@ -201,7 +205,7 @@ TEST(CostSurface, PrunedMatchingSelectsIdenticallyAcross50Seeds) {
     std::vector<net::Flow> flows;
     const net::FairShareResult shares = loaded_shares(topology, flows, 3);
     mig::MigrationCostModel model(topology, deployment);
-    configure_model(model, &shares, true, false);
+    configure_model(model, &shares);
 
     const auto hosts = topology.nodes_of_kind(topo::NodeKind::kHost);
     for (std::uint64_t seed = 0; seed < 50; ++seed) {
@@ -218,12 +222,10 @@ TEST(CostSurface, PrunedMatchingSelectsIdenticallyAcross50Seeds) {
       for (std::size_t i = 0; i < 16; ++i) targets.push_back(rng.pick(hosts));
 
       const mig::CostModelStats before = model.stats();
-      model.set_pruning_enabled(false);
       std::size_t space_off = 0;
       const auto exhaustive =
-          core::propose_matching(deployment, model, candidates, targets, &space_off);
+          reference::exhaustive_matching(deployment, model, candidates, targets, &space_off);
       const mig::CostModelStats mid = model.stats();
-      model.set_pruning_enabled(true);
       std::size_t space_on = 0;
       const auto pruned =
           core::propose_matching(deployment, model, candidates, targets, &space_on);
@@ -277,29 +279,15 @@ fault::FaultPlan surface_fault_plan(const topo::Topology& topology, std::size_t 
   return plan;
 }
 
-struct DecisionLeg {
-  bool cost_surface = false;
-  bool cost_pruning = false;
-  std::size_t pool_threads = 1;
-};
-
-/// Runs one engine leg and returns (metrics CSV, checkpoint bytes).
-/// observe=false on purpose: the registry serializes into the OBSR
-/// checkpoint section and the evaluated/pruned counter *split* legally
-/// differs between prune-on and prune-off runs — the parity claim is
-/// about simulation state, which the counters are not part of.
-/// SHERIFF_FORCE_AUDIT turns observation on regardless, so the cost.*
-/// counters, which differ by design between legs, are zeroed before the
-/// checkpoint is taken; every other byte must still match.
+/// Runs one engine leg on a pool of `pool_threads` and returns (metrics
+/// CSV, checkpoint bytes).
 std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
-    const topo::Topology& topology, const fault::FaultPlan* plan, const DecisionLeg& leg,
+    const topo::Topology& topology, const fault::FaultPlan* plan, std::size_t pool_threads,
     std::size_t rounds) {
-  sc::ThreadPool pool(leg.pool_threads);
+  sc::ThreadPool pool(pool_threads);
   core::EngineConfig config;
   config.fault_plan = plan;
   config.pool = &pool;
-  config.cost_surface = leg.cost_surface;
-  config.cost_pruning = leg.cost_pruning;
   core::DistributedEngine engine(topology, surface_deployment(), config);
   std::vector<core::RoundMetrics> metrics;
   metrics.reserve(rounds);
@@ -309,41 +297,26 @@ std::pair<std::string, std::vector<std::uint8_t>> run_decision_leg(
     actions += metrics.back().migrations + metrics.back().reroutes;
   }
   EXPECT_GT(actions, 0u);  // the comparison must not be vacuous
-  if (obs::ObservationHub* hub = engine.observation_hub()) {
-    for (const char* name : {"cost.evaluated", "cost.pruned", "cost.surface_builds"}) {
-      hub->registry().counter(name).reset();
-    }
-  }
   return {metrics_csv(metrics), core::Checkpoint::serialize(engine)};
 }
 
-/// The headline differential: naive kernel (surface off, pruning off,
-/// 1-thread pool) vs the optimized kernel at pool sizes
-/// 1/2/8 — metrics CSV and checkpoint bytes must match byte for byte.
-void expect_decision_kernel_invariance(const topo::Topology& topology, bool faulted) {
+/// The headline differential: the decision kernel at pool sizes 1/2/8 —
+/// metrics CSV and checkpoint bytes must match byte for byte across pool
+/// sizes, and the metrics must equal `golden`: the CSV that the
+/// pre-surface kernel (per-link walk, no pruning) and the surface kernel
+/// both produced on this scenario before the per-link walk left
+/// production.
+void expect_decision_kernel_invariance(const topo::Topology& topology, bool faulted,
+                                       const std::string& golden) {
   const std::size_t rounds = 60;
   fault::FaultPlan plan =
       faulted ? surface_fault_plan(topology, rounds) : fault::FaultPlan{};
   const fault::FaultPlan* plan_ptr = faulted ? &plan : nullptr;
 
-  const auto [reference_csv, reference_bytes] =
-      run_decision_leg(topology, plan_ptr, DecisionLeg{}, rounds);
-
-  // Surface without pruning first: isolates the kernel-transparency claim
-  // from the bound.
-  {
-    DecisionLeg leg;
-    leg.cost_surface = true;
-    const auto [csv, bytes] = run_decision_leg(topology, plan_ptr, leg, rounds);
-    EXPECT_EQ(csv, reference_csv) << "surface-only leg diverged";
-    EXPECT_TRUE(bytes == reference_bytes) << "surface-only checkpoint diverged";
-  }
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    DecisionLeg leg;
-    leg.cost_surface = true;
-    leg.cost_pruning = true;
-    leg.pool_threads = threads;
-    const auto [csv, bytes] = run_decision_leg(topology, plan_ptr, leg, rounds);
+  const auto [reference_csv, reference_bytes] = run_decision_leg(topology, plan_ptr, 1, rounds);
+  reference::expect_matches_golden(golden, reference_csv);
+  for (const std::size_t threads : {2u, 8u}) {
+    const auto [csv, bytes] = run_decision_leg(topology, plan_ptr, threads, rounds);
     EXPECT_EQ(csv, reference_csv) << "metrics diverged at pool=" << threads;
     EXPECT_TRUE(bytes == reference_bytes) << "checkpoint diverged at pool=" << threads;
   }
@@ -352,36 +325,23 @@ void expect_decision_kernel_invariance(const topo::Topology& topology, bool faul
 }  // namespace
 
 TEST(CostSurface, FatTreePristineDecisionKernelIsConfigInvariant) {
-  expect_decision_kernel_invariance(small_fat_tree(), false);
+  expect_decision_kernel_invariance(small_fat_tree(), false,
+                                    "decision_kernel_fattree_k4_pristine_metrics.txt");
 }
 
 TEST(CostSurface, FatTreeFaultedDecisionKernelIsConfigInvariant) {
-  expect_decision_kernel_invariance(small_fat_tree(), true);
+  expect_decision_kernel_invariance(small_fat_tree(), true,
+                                    "decision_kernel_fattree_k4_faulted_metrics.txt");
 }
 
 TEST(CostSurface, BCubePristineDecisionKernelIsConfigInvariant) {
-  expect_decision_kernel_invariance(small_bcube(), false);
+  expect_decision_kernel_invariance(small_bcube(), false,
+                                    "decision_kernel_bcube32_pristine_metrics.txt");
 }
 
 TEST(CostSurface, BCubeFaultedDecisionKernelIsConfigInvariant) {
-  expect_decision_kernel_invariance(small_bcube(), true);
-}
-
-TEST(CostSurface, CheckpointLoadsAcrossKernelConfigs) {
-  // cost_surface / cost_pruning are results-identical accelerations, so
-  // they are excluded from the checkpoint fingerprint — a checkpoint saved
-  // with them on loads into an engine with them off.
-  const topo::Topology topology = small_fat_tree();
-  core::EngineConfig fast;
-  core::DistributedEngine engine(topology, surface_deployment(), fast);
-  for (std::size_t r = 0; r < 4; ++r) (void)engine.run_round();
-  const std::vector<std::uint8_t> bytes = core::Checkpoint::serialize(engine);
-
-  core::EngineConfig naive;
-  naive.cost_surface = false;
-  naive.cost_pruning = false;
-  core::DistributedEngine resumed(topology, surface_deployment(), naive);
-  EXPECT_NO_THROW(core::Checkpoint::deserialize(resumed, bytes));
+  expect_decision_kernel_invariance(small_bcube(), true,
+                                    "decision_kernel_bcube32_faulted_metrics.txt");
 }
 
 // --- update_flow_demands skip-write -----------------------------------------
@@ -394,7 +354,6 @@ TEST(CostSurface, ConstantDemandRoundReusesFlowsInFairShareSolver) {
   const topo::Topology topology = small_fat_tree();
   core::EngineConfig config;
   config.flow_demand_scale_gbps = 0.0;
-  config.incremental_fair_share = true;
   core::DistributedEngine engine(topology, surface_deployment(), config);
   for (std::size_t r = 0; r < 3; ++r) (void)engine.run_round();
   EXPECT_GT(engine.fair_share_solver().stats().reused_flows, 0u);

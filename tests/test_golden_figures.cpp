@@ -21,8 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +33,7 @@
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "fault/fault_plan.hpp"
+#include "golden.hpp"
 #include "timeseries/arima.hpp"
 #include "topology/fat_tree.hpp"
 #include "workload/trace_generator.hpp"
@@ -49,32 +48,7 @@ namespace wl = sheriff::wl;
 
 namespace {
 
-std::string golden_path(const std::string& name) {
-  return std::string(SHERIFF_GOLDEN_DIR) + "/" + name;
-}
-
-/// Byte-exact comparison against tests/golden/<name>; with
-/// SHERIFF_REGEN_GOLDENS=1 the file is rewritten instead and the test
-/// passes, so a regen run is also a smoke test of the pipelines.
-void expect_matches_golden(const std::string& name, const std::string& actual) {
-  const std::string path = golden_path(name);
-  const char* regen = std::getenv("SHERIFF_REGEN_GOLDENS");
-  if (regen != nullptr && std::string(regen) == "1") {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    return;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " — regenerate with SHERIFF_REGEN_GOLDENS=1";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), actual)
-      << "output of " << name
-      << " drifted; if intentional, regenerate with SHERIFF_REGEN_GOLDENS=1 "
-         "and review the golden diff";
-}
+using sheriff::reference::expect_matches_golden;
 
 }  // namespace
 

@@ -162,9 +162,29 @@ TEST(AuditorE2E, DeepFairShareAuditAgreesOnShortRun) {
 }
 
 TEST(AuditorE2E, NaiveFairSharePathIsAlsoClean) {
-  auto config = audited_config();
-  config.incremental_fair_share = false;  // solver == nullptr branch
-  expect_clean_run(fat_tree(), config, 60);
+  // The auditor's solver == nullptr branch: every round of a 60-round
+  // engine run, a standalone auditor checks the engine's flows against the
+  // from-scratch waterfill (net::max_min_fair_share, the deep check's
+  // oracle) instead of the engine's incremental solver.
+  core::DistributedEngine engine(fat_tree(), deployment_options(), core::EngineConfig{});
+  obs::InvariantAuditor auditor;
+  for (std::uint32_t round = 0; round < 60; ++round) {
+    (void)engine.run_round();
+    std::vector<net::Flow> flows(engine.flows().begin(), engine.flows().end());
+    const net::FairShareResult shares = net::max_min_fair_share(fat_tree(), flows);
+    obs::InvariantAuditor::RoundInputs inputs;
+    inputs.round = round;
+    inputs.deployment = &engine.deployment();
+    inputs.flows = flows;
+    inputs.shares = &shares;
+    auditor.audit_round(inputs);
+  }
+  EXPECT_EQ(auditor.rounds_audited(), 60u);
+  EXPECT_EQ(auditor.violation_count(), 0u) << [&] {
+    std::string all;
+    for (const auto& m : auditor.messages()) all += m + "\n";
+    return all;
+  }();
 }
 
 TEST(AuditorE2E, CentralizedManagerIsAlsoClean) {

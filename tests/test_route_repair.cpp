@@ -1,8 +1,9 @@
 // Differentials for in-place shortest-path-tree repair across liveness
 // changes: graph::repair_tree against a fresh dijkstra_into on random
 // uniform-weight graphs, the Router's repaired tree cache against fresh
-// builds on the masked fabric (plus cached vs uncached routing), and the
-// engine with the route cache on vs off under fault plans.
+// builds on the masked fabric (plus cached routing against the uncached
+// reference route, ECMP hash choice included), and the cached engine under
+// fault plans against metrics goldens of the uncached engine.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +18,11 @@
 #include "core/engine.hpp"
 #include "core/metrics.hpp"
 #include "fault/fault_plan.hpp"
+#include "golden.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 #include "net/routing.hpp"
-#include "obs/hub.hpp"
-#include "snapshot/checkpoint.hpp"
+#include "reference.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fat_tree.hpp"
 #include "topology/liveness.hpp"
@@ -31,7 +32,7 @@ namespace core = sheriff::core;
 namespace fault = sheriff::fault;
 namespace graph = sheriff::graph;
 namespace net = sheriff::net;
-namespace obs = sheriff::obs;
+namespace reference = sheriff::reference;
 namespace topo = sheriff::topo;
 namespace wl = sheriff::wl;
 namespace sc = sheriff::common;
@@ -221,10 +222,10 @@ void expect_router_repairs_exactly(const topo::Topology& t, const std::string& n
     sc::Pcg32 rng(seed * 104729 + hosts.size());
     topo::LivenessMask mask(t);
     net::Router cached(t);
-    net::Router naive(t);
-    naive.set_cache_enabled(false);
     cached.apply_liveness(&mask);
-    naive.apply_liveness(&mask);
+    // The reference routes every query with its own Dijkstra on the live
+    // hop graph, rebuilt from the mask after each batch of events.
+    graph::Graph live = t.wired_graph(topo::EdgeWeight::kHops, mask);
 
     std::vector<net::Flow> flows;
     std::vector<std::vector<topo::NodeId>> blocks;
@@ -252,14 +253,14 @@ void expect_router_repairs_exactly(const topo::Topology& t, const std::string& n
           net::Flow a = flows[f];
           net::Flow b = flows[f];
           const bool ok_a = cached.route(a, blocked);
-          const bool ok_b = naive.route(b, blocked);
+          const bool ok_b = reference::route_uncached(live, b, blocked);
           ASSERT_EQ(ok_a, ok_b) << where << " flow " << f;
           ASSERT_EQ(a.path, b.path) << where << " flow " << f;
         }
       }
       random_events(t, mask, rng);
       cached.refresh_liveness();
-      naive.refresh_liveness();
+      live = t.wired_graph(topo::EdgeWeight::kHops, mask);
       expect_cache_is_fresh(t, mask, cached, where);
       if (testing::Test::HasFatalFailure()) return;
     }
@@ -307,7 +308,11 @@ TEST(RouterRepair, ReportsRemovedLinksAndDropsUnqueriedTrees) {
   EXPECT_EQ(cached, 0u);
 }
 
-// --- (c) engine: route cache on vs off under faults -------------------------
+// --- (c) engine: the cached router against the uncached one, under faults.
+// Before the uncached router arm was retired, these scenarios pinned the
+// route cache on vs off to byte-identical metrics CSVs and checkpoints; the
+// goldens are the metrics CSVs both legs produced then, so the cached
+// engine must still reproduce the uncached run.
 
 std::string metrics_csv(const std::vector<core::RoundMetrics>& rounds) {
   std::ostringstream os;
@@ -315,38 +320,17 @@ std::string metrics_csv(const std::vector<core::RoundMetrics>& rounds) {
   return os.str();
 }
 
-void expect_route_cache_invisible(const topo::Topology& t, const fault::FaultPlan& plan) {
+void expect_cached_routes_match_golden(const topo::Topology& t, const fault::FaultPlan& plan,
+                                  const std::string& golden) {
   wl::DeploymentOptions deployment;
   deployment.seed = 31;
   deployment.hot_vm_fraction = 0.3;
-  std::string reference_csv;
-  std::vector<std::uint8_t> reference_checkpoint;
-  for (const bool cache : {true, false}) {
-    core::EngineConfig config;
-    config.fault_plan = &plan;
-    config.route_cache = cache;
-    core::DistributedEngine engine(t, deployment, config);
-    const std::string csv = metrics_csv(engine.run(60));
-    if (obs::ObservationHub* hub = engine.observation_hub()) {
-      // SHERIFF_FORCE_AUDIT puts the registry into the checkpoint. The
-      // router.* gauges count cache traffic, which differs by construction
-      // when the cache is off; every other byte must still match.
-      for (const char* name : {"router.tree_hits", "router.tree_misses", "router.path_hits",
-                               "router.path_misses", "router.evictions", "router.tree_repairs",
-                               "router.tree_drops"}) {
-        hub->registry().gauge(name).set(0.0);
-      }
-    }
-    const std::vector<std::uint8_t> checkpoint = core::Checkpoint::serialize(engine);
-    if (cache) {
-      EXPECT_GT(engine.router().cache_stats().tree_repairs, 0u);
-      reference_csv = csv;
-      reference_checkpoint = checkpoint;
-    } else {
-      EXPECT_EQ(csv, reference_csv);
-      EXPECT_EQ(checkpoint == reference_checkpoint, true) << "checkpoint bytes diverged";
-    }
-  }
+  core::EngineConfig config;
+  config.fault_plan = &plan;
+  core::DistributedEngine engine(t, deployment, config);
+  reference::expect_matches_golden(golden, metrics_csv(engine.run(60)));
+  // Not vacuous: the faults made the router repair cached trees.
+  EXPECT_GT(engine.router().cache_stats().tree_repairs, 0u);
 }
 
 TEST(RouteRepairEngine, FatTreeFaultedCacheOnOffIdentical) {
@@ -359,7 +343,7 @@ TEST(RouteRepairEngine, FatTreeFaultedCacheOnOffIdentical) {
   plan.fail_switch(t.rack(2).tor, 25, 40);
   plan.fail_host(t.rack(3).hosts[0], 15, 45);
   plan.set_options(options);
-  expect_route_cache_invisible(t, plan);
+  expect_cached_routes_match_golden(t, plan, "route_repair_fattree_k4_faulted_metrics.txt");
 }
 
 TEST(RouteRepairEngine, BCubeFaultedCacheOnOffIdentical) {
@@ -372,7 +356,7 @@ TEST(RouteRepairEngine, BCubeFaultedCacheOnOffIdentical) {
   plan.fail_link(t.link_count() / 2, 12, 0);
   plan.fail_switch(t.nodes_of_kind(topo::NodeKind::kBCubeSwitch).front(), 18, 35);
   plan.fail_host(t.nodes_of_kind(topo::NodeKind::kHost)[5], 22, 50);
-  expect_route_cache_invisible(t, plan);
+  expect_cached_routes_match_golden(t, plan, "route_repair_bcube41_faulted_metrics.txt");
 }
 
 }  // namespace

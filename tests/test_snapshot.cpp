@@ -527,6 +527,29 @@ TEST(SnapshotEngine, UnknownSectionVersionIsRejected) {
   }
 }
 
+TEST(SnapshotEngine, MetaV2ArchiveIsRejectedNamingBothVersions) {
+  // META v3 dropped the from-scratch fair-share fingerprint bool; a v2
+  // archive must be refused by name, not misparsed.
+  const topo::Topology topology = small_fat_tree();
+  core::DistributedEngine source(topology, parity_deployment(), core::EngineConfig{});
+  (void)source.run_round();
+  std::vector<std::uint8_t> bytes = core::Checkpoint::serialize(source);
+  // META is the first section; its little-endian u32 version sits right
+  // after the 8-byte preamble, the 4-byte magic, and the 4-byte tag.
+  ASSERT_EQ(std::string(bytes.begin() + 12, bytes.begin() + 16), "META");
+  ASSERT_EQ(bytes[16], 3u);
+  bytes[16] = 2;
+  core::DistributedEngine target(topology, parity_deployment(), core::EngineConfig{});
+  try {
+    core::Checkpoint::deserialize(target, std::move(bytes));
+    FAIL() << "META v2 archive accepted";
+  } catch (const snap::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("section 'META': archive has v2, this build reads v3"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SnapshotEngine, TruncatedAndCorruptCheckpointsFailLoudly) {
   const topo::Topology topology = small_fat_tree();
   core::DistributedEngine source(topology, parity_deployment(), core::EngineConfig{});

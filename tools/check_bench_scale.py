@@ -1,42 +1,35 @@
 #!/usr/bin/env python3
 """Perf-regression gate for bench_scale.
 
-Compares a freshly produced BENCH_scale.json against the committed baseline
-(bench/baselines/BENCH_scale_baseline.json). Only the naive-vs-optimized
-*ratios* are compared — both runs execute on the same machine, so the ratio
-cancels out hardware speed and transfers across CI runners, while absolute
-rounds/sec would not.
+Holds a freshly produced BENCH_scale.json (schema sheriff.bench_scale.v6)
+to the per-scenario budgets of the committed baseline
+(bench/baselines/BENCH_scale_baseline.json, schema
+sheriff.bench_scale.baseline.v6).
 
-Four ratios are gated per scenario:
+bench_scale runs the production engine on a one-thread pool and reports,
+per scenario, the median CPU time per round of each phase (`median_ms`)
+and the fastest run of a calibration kernel swept before every round
+(`calibration_ms`, a graph::dijkstra_into sweep over the k=16 Fat-Tree hop
+graph). The gate divides each budgeted phase's median by the calibration —
+which cancels most of the machine's speed — and requires
 
-  speedup         end-to-end rounds/sec, optimized vs naive
-  manage_ratio    manage-phase wall time, naive vs optimized (schema v2)
-  net_ratio       fair-share + routing wall time, naive vs optimized (schema v4)
-  decision_ratio  migration decision kernel wall time, naive vs optimized (schema v5)
+    median_ms[phase] / calibration_ms <= budget[phase]
 
-A scenario passes when
+for every phase the baseline budgets. A normalized value exactly at its
+budget passes.
 
-    current >= max(min_<ratio>, baseline_<ratio> * (1 - tolerance))
+Hard failures, before any budget is checked:
+  * a bench or baseline schema other than v6 — the v1-v5 formats carried
+    naive/optimized ratios, which this gate no longer reads, and are
+    rejected by name;
+  * a scenario named in the baseline but absent from the bench output
+    (the set difference is spelled out), so a run that silently drops a
+    scenario cannot pass on the survivors;
+  * a zero, negative or missing calibration, which would make every
+    normalized value meaningless.
 
-where the per-scenario `min_*` values are hard floors (the optimization's
-acceptance bars) and `tolerance` absorbs runner noise. Baselines in the old
-baseline.v1 schema (no manage fields) and bench outputs in the old v1
-schema (no manage_ratio) are accepted — the manage gate is simply skipped,
-so the script stays usable against historical artifacts. Schema v3 adds
-per-shard manage timings (phases_ns.manage_shard_propose / manage_commit);
-they are informational here, the gated ratios are unchanged. Schema v4 adds
-the network hot path: per-scenario `net_ratio` (naive vs optimized
-fair_share + routing wall time, gated when the baseline records a
-`min_net_ratio`) plus informational fair_share build/fill sub-phase
-timings and component/arena gauges. Schema v5 adds the migration decision
-kernel: per-scenario `decision_ratio` (naive vs optimized manage_decision
-wall time — the Eq. (1) cost evaluations inside the manage phase, gated
-when the baseline records a `min_decision_ratio`) plus an informational
-phases_ns.manage_decision entry.
-
-A scenario named in the baseline but absent from the bench output is a hard
-FAIL before any ratio check, with the set difference spelled out — a bench
-run that silently drops a scenario must not pass on the surviving ratios.
+The fat_tree_k32 regional-sharding ablation (`ablation.sharded_manage_ratio`,
+legacy interleaved manage sweep over sharded manage) is printed, not gated.
 
 Usage: check_bench_scale.py CURRENT_JSON [BASELINE_JSON]
 Exit status: 0 on pass, 1 on any violation or malformed input.
@@ -45,103 +38,96 @@ Exit status: 0 on pass, 1 on any violation or malformed input.
 import json
 import sys
 
-BENCH_SCHEMAS = (
-    "sheriff.bench_scale.v1",
-    "sheriff.bench_scale.v2",
-    "sheriff.bench_scale.v3",
-    "sheriff.bench_scale.v4",
-    "sheriff.bench_scale.v5",
-)
-BASELINE_SCHEMAS = (
-    "sheriff.bench_scale.baseline.v1",
-    "sheriff.bench_scale.baseline.v2",
-    "sheriff.bench_scale.baseline.v3",
-    "sheriff.bench_scale.baseline.v4",
-    "sheriff.bench_scale.baseline.v5",
-)
+BENCH_SCHEMA = "sheriff.bench_scale.v6"
+BASELINE_SCHEMA = "sheriff.bench_scale.baseline.v6"
+RETIRED_BENCH_SCHEMAS = tuple(f"sheriff.bench_scale.v{v}" for v in range(1, 6))
+RETIRED_BASELINE_SCHEMAS = tuple(f"sheriff.bench_scale.baseline.v{v}" for v in range(1, 6))
 
 
-def fail(msg: str) -> None:
-    print(f"check_bench_scale: FAIL: {msg}")
-    sys.exit(1)
+class GateFailure(Exception):
+    """A malformed or incompatible input: the gate fails before any budget."""
 
 
-def check_ratio(name, label, got, ref_value, ref_floor, tolerance, violations) -> None:
-    required = max(float(ref_floor), float(ref_value) * (1.0 - tolerance))
-    verdict = "ok" if got >= required else "REGRESSION"
-    print(
-        f"  {name}: {label} {got:.2f}x "
-        f"(baseline {float(ref_value):.2f}x, required >= {required:.2f}x) {verdict}"
-    )
-    if got < required:
-        violations.append(f"{name}: {label} {got:.2f}x below required {required:.2f}x")
+def check_schema(doc, expected, retired, what):
+    schema = doc.get("schema")
+    if schema in retired:
+        raise GateFailure(
+            f"{what} schema {schema!r} is a retired naive/optimized ratio format; "
+            f"this gate reads {expected!r} (calibrated per-phase budgets)"
+        )
+    if schema != expected:
+        raise GateFailure(f"unexpected {what} schema {schema!r} (expected {expected!r})")
 
 
-def main() -> None:
-    if len(sys.argv) < 2:
-        fail("usage: check_bench_scale.py CURRENT_JSON [BASELINE_JSON]")
-    current_path = sys.argv[1]
-    baseline_path = (
-        sys.argv[2] if len(sys.argv) > 2 else "bench/baselines/BENCH_scale_baseline.json"
-    )
+def evaluate(current, baseline):
+    """Returns (report lines, violations); raises GateFailure on bad input."""
+    check_schema(current, BENCH_SCHEMA, RETIRED_BENCH_SCHEMAS, "bench")
+    check_schema(baseline, BASELINE_SCHEMA, RETIRED_BASELINE_SCHEMAS, "baseline")
+    measured = {s["name"]: s for s in current.get("scenarios", [])}
+    budgets = baseline["scenarios"]
 
+    missing = sorted(set(budgets) - set(measured))
+    if missing:
+        raise GateFailure(
+            f"scenarios missing from the bench output: {', '.join(missing)} "
+            f"(baseline gates {sorted(budgets)}, bench produced {sorted(measured)})"
+        )
+
+    lines, violations = [], []
+    for name, budget in budgets.items():
+        got = measured[name]
+        calibration = got.get("calibration_ms")
+        if not isinstance(calibration, (int, float)) or calibration <= 0:
+            raise GateFailure(f"{name}: calibration_ms must be positive, got {calibration!r}")
+        medians = got.get("median_ms", {})
+        for phase, limit in budget.items():
+            if phase not in medians:
+                violations.append(f"{name}: baseline budgets {phase} but the bench has no median")
+                continue
+            normalized = float(medians[phase]) / float(calibration)
+            verdict = "ok" if normalized <= float(limit) else "OVER BUDGET"
+            lines.append(
+                f"  {name}: {phase} {float(medians[phase]):.3f} ms/round = "
+                f"{normalized:.3f} x calibration (budget {float(limit):.3f}) {verdict}"
+            )
+            if normalized > float(limit):
+                violations.append(
+                    f"{name}: {phase} {normalized:.3f} x calibration over budget {float(limit):.3f}"
+                )
+    for name, got in measured.items():
+        ratio = got.get("ablation", {}).get("sharded_manage_ratio")
+        if ratio is not None:
+            lines.append(
+                f"  {name}: sharded manage {ratio:.2f}x faster than the legacy sweep "
+                f"(reported, not gated)"
+            )
+        if name not in budgets:
+            lines.append(f"  {name}: no budget (informational)")
+    return lines, violations
+
+
+def main(argv):
+    if len(argv) < 2:
+        print("check_bench_scale: FAIL: usage: check_bench_scale.py CURRENT_JSON [BASELINE_JSON]")
+        return 1
+    current_path = argv[1]
+    baseline_path = argv[2] if len(argv) > 2 else "bench/baselines/BENCH_scale_baseline.json"
     with open(current_path, encoding="utf-8") as f:
         current = json.load(f)
     with open(baseline_path, encoding="utf-8") as f:
         baseline = json.load(f)
-
-    if current.get("schema") not in BENCH_SCHEMAS:
-        fail(f"unexpected bench schema: {current.get('schema')!r}")
-    if baseline.get("schema") not in BASELINE_SCHEMAS:
-        fail(f"unexpected baseline schema: {baseline.get('schema')!r}")
-
-    tolerance = float(baseline.get("tolerance", 0.5))
-    measured = {s["name"]: s for s in current.get("scenarios", [])}
-
-    # Every gated scenario must be present: a bench run that silently drops
-    # one (crashed leg, filtered build, stale binary) must not pass just
-    # because the surviving ratios look fine.
-    missing = sorted(set(baseline["scenarios"]) - set(measured))
-    if missing:
-        fail(
-            f"scenarios missing from {current_path}: {', '.join(missing)} "
-            f"(baseline gates {sorted(baseline['scenarios'])}, "
-            f"bench produced {sorted(measured)})"
-        )
-
-    violations = []
-    for name, ref in baseline["scenarios"].items():
-        got = measured[name]
-        check_ratio(
-            name, "speedup", float(got["speedup"]), ref["speedup"], ref["min_speedup"],
-            tolerance, violations,
-        )
-        for label, min_key, schema_hint in (
-            ("manage_ratio", "min_manage_ratio", "v2"),
-            ("net_ratio", "min_net_ratio", "v4"),
-            ("decision_ratio", "min_decision_ratio", "v5"),
-        ):
-            if min_key not in ref:
-                continue  # older baseline: this gate not recorded
-            if label not in got:
-                violations.append(
-                    f"{name}: baseline gates {label} but {current_path} has none "
-                    f"(bench output predates schema {schema_hint}?)"
-                )
-                continue
-            check_ratio(
-                name, label, float(got[label]), ref[label], ref[min_key],
-                tolerance, violations,
-            )
-
-    for name in measured:
-        if name not in baseline["scenarios"]:
-            print(f"  {name}: speedup {measured[name]['speedup']:.2f}x (no baseline, informational)")
-
+    try:
+        lines, violations = evaluate(current, baseline)
+    except GateFailure as e:
+        print(f"check_bench_scale: FAIL: {e}")
+        return 1
+    print("\n".join(lines))
     if violations:
-        fail("; ".join(violations))
+        print(f"check_bench_scale: FAIL: {'; '.join(violations)}")
+        return 1
     print("check_bench_scale: PASS")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv))
